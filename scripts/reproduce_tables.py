@@ -13,7 +13,7 @@ import argparse
 from modeswitch import presets
 from modeswitch.io import format_policy_table_text, format_share_table_text
 from modeswitch.model import DatasetKind
-from modeswitch.simulator import policy_delta, scenario_probabilities, substitution_table
+from modeswitch.simulator import policy_table, substitution_table
 
 
 def main() -> None:
@@ -36,13 +36,7 @@ def main() -> None:
     spec = presets.model_spec(DatasetKind.NONCOMMUTE)
     params = presets.bundled_estimates(DatasetKind.NONCOMMUTE)
     scenarios = presets.policy_scenarios(args.seed, args.draws)
-    base = scenarios[presets.POLICY_BASELINE]
-    shares = {}
-    deltas = {}
-    for name, scenario in scenarios.items():
-        shares[name] = 100.0 * scenario_probabilities(scenario, params, spec)
-        if name != presets.POLICY_BASELINE:
-            deltas[name] = policy_delta(base, scenario, params, spec)
+    shares, deltas = policy_table(scenarios, presets.POLICY_BASELINE, params, spec)
     print("car-user policies, 5 km non-commuting base")
     print(format_policy_table_text(shares, deltas))
 

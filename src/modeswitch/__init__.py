@@ -64,6 +64,7 @@ from .simulator import (  # noqa: F401
     ShareRow,
     ShareTable,
     policy_delta,
+    policy_table,
     scenario_probabilities,
     substitution_table,
 )

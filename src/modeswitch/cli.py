@@ -36,7 +36,7 @@ from .model import (
     SpecificationError,
     ValidationError,
 )
-from .simulator import ScenarioDefinition, policy_delta, scenario_probabilities, substitution_table
+from .simulator import ScenarioDefinition, policy_table, substitution_table
 from .synthesizer import sample_population, sample_reference_trip, simulate_choices
 from . import io as mio
 
@@ -294,13 +294,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _write_policies(scenarios, params, spec, out) -> None:
-    base = scenarios[presets.POLICY_BASELINE]
-    shares = {}
-    deltas = {}
-    for name, scenario in scenarios.items():
-        shares[name] = 100.0 * scenario_probabilities(scenario, params, spec)
-        if name != presets.POLICY_BASELINE:
-            deltas[name] = policy_delta(base, scenario, params, spec)
+    shares, deltas = policy_table(scenarios, presets.POLICY_BASELINE, params, spec)
     mio.save_policy_table(shares, deltas, out)
 
 

@@ -2,8 +2,8 @@
 
 Optimization is quasi-Newton (BFGS) on the simulated log-likelihood with
 its analytic gradient, over one fixed draw matrix. Standard errors come
-from the classical negated inverse Hessian, obtained by central finite
-differences of the gradient at the optimum.
+from the classical negated inverse of the analytic Hessian at the optimum,
+computed in one pass over the same draws.
 """
 
 from __future__ import annotations
@@ -48,11 +48,20 @@ class Convergence:
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """Estimates with classical standard errors from the analytic Hessian.
+
+    ``std_errors`` and ``p_values`` are None when standard errors were not
+    requested or the Hessian cannot give them; ``std_errors_missing`` then
+    says why, for a failed Hessian with the smallest eigenvalue of its
+    negation.
+    """
+
     estimates: ParameterVector
-    std_errors: dict[str, float] | None  # None when the Hessian is singular
+    std_errors: dict[str, float] | None
     p_values: dict[str, float] | None
     fit: FitStatistics
     convergence: Convergence
+    std_errors_missing: str | None = None
 
     def vot(self, time_coefficient: str, cost_coefficient: str) -> float:
         return vot(self.estimates[time_coefficient], self.estimates[cost_coefficient])
@@ -80,7 +89,10 @@ def std_errors(hessian: np.ndarray) -> np.ndarray:
 
 
 def numerical_hessian(grad_func, x: np.ndarray, relative_step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a gradient function, symmetrised."""
+    """Central finite differences of a gradient function, symmetrised.
+
+    The reference that tests hold ``EvaluationContext.hessian`` against.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
     hessian = np.empty((n, n))
@@ -174,17 +186,16 @@ def estimate(
 
     se_map = None
     p_map = None
+    se_missing = "not requested"
     if settings.compute_std_errors:
-        def loglik_grad(x: np.ndarray) -> np.ndarray:
-            _, grad = context.loglik_and_gradient(start.with_free_array(x))
-            return grad
-
+        hessian = context.hessian(estimates)
         try:
-            hessian = numerical_hessian(loglik_grad, result.x)
             se = std_errors(hessian)
-        except ValidationError:
-            se = None
-        if se is not None:
+        except ValidationError as exc:
+            smallest = float(np.linalg.eigvalsh(-hessian)[0])
+            se_missing = f"{exc}; smallest eigenvalue of -H {smallest:.3g}"
+        else:
+            se_missing = None
             se_map = dict(zip(free_names, se))
             z = result.x / se
             p_map = dict(zip(free_names, 2.0 * stats.norm.sf(np.abs(z))))
@@ -205,6 +216,7 @@ def estimate(
         convergence=Convergence(
             converged, int(result.nit), gradient_norm, str(result.message)
         ),
+        std_errors_missing=se_missing,
     )
 
 

@@ -92,16 +92,55 @@ def save_dataset(dataset: ChoiceDataset, path) -> None:
                     )
 
 
-def load_dataset(path) -> ChoiceDataset:
+def _flag(value: str) -> bool:
+    if value not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {value!r}")
+    return value == "1"
+
+
+def _parse_row(row: Sequence[str]):
+    """Typed fields of one dataset row; a bad field raises ValueError naming it."""
+    if len(row) != len(DATASET_COLUMNS):
+        raise ValueError(f"expected {len(DATASET_COLUMNS)} fields, got {len(row)}")
+    record = dict(zip(DATASET_COLUMNS, row))
+
+    def parse(column, kind):
+        try:
+            return kind(record[column])
+        except ValueError:
+            raise ValueError(f"bad {column} {record[column]!r}") from None
+
+    persona = Persona(
+        age_group=parse("age_group", AgeGroup),
+        higher_education=parse("higher_education", _flag),
+        income_band=parse("income_band", IncomeBand),
+        has_children=parse("has_children", _flag),
+        current_mode=parse("current_mode", CurrentMode),
+    )
+    return (
+        parse("individual_id", int),
+        record["task_id"],
+        parse("alt", Alternative),
+        parse("available", _flag),
+        parse("chosen", _flag),
+        AttributeBundle(**{c: parse(c, float) for c in _ATTRIBUTE_COLUMNS}),
+        persona,
+        TripContext(parse("purpose", Purpose), parse("distance_km", float)),
+    )
+
+
+def _numbered_rows(path):
+    """(line number, fields) of each data row of a dataset file, header checked."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = tuple(next(reader))
-        if header != DATASET_COLUMNS:
+        if tuple(next(reader, ())) != DATASET_COLUMNS:
             raise ValidationError(f"unexpected dataset header in {path}")
-        rows = list(reader)
-    if not rows:
-        raise ValidationError(f"dataset {path} has no data rows")
+        for row in reader:
+            yield reader.line_num, row
 
+
+def load_dataset(path) -> ChoiceDataset:
+    """Read a long-format dataset; a malformed row raises ``ValidationError("path:line: ...")``."""
     individuals: list[Individual] = []
     current: dict | None = None
 
@@ -121,45 +160,49 @@ def load_dataset(path) -> ChoiceDataset:
             Individual(individual_id=state["id"], persona=state["persona"], tasks=tasks)
         )
 
-    for row in rows:
-        record = dict(zip(DATASET_COLUMNS, row))
-        ind_id = int(record["individual_id"])
+    for line, row in _numbered_rows(path):
+        where = f"{path}:{line}"
+        try:
+            ind_id, task_id, alt, available, chosen, bundle, persona, context = _parse_row(row)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
         if current is None or current["id"] != ind_id:
             if current is not None:
                 flush(current)
-            persona = Persona(
-                age_group=AgeGroup(record["age_group"]),
-                higher_education=record["higher_education"] == "1",
-                income_band=IncomeBand(record["income_band"]),
-                has_children=record["has_children"] == "1",
-                current_mode=CurrentMode(record["current_mode"]),
-            )
             current = {"id": ind_id, "persona": persona, "tasks": []}
-        task_id = record["task_id"]
+        elif persona != current["persona"]:
+            raise ValidationError(
+                f"{where}: persona differs from earlier rows of individual {ind_id}"
+            )
+        tasks = current["tasks"]
         # the three alternative rows of a task are consecutive in the file
-        if not current["tasks"] or current["tasks"][-1]["task_id"] != task_id:
-            current["tasks"].append(
+        if not tasks or tasks[-1]["task_id"] != task_id:
+            tasks.append(
                 {
                     "task_id": task_id,
-                    "context": TripContext(
-                        Purpose(record["purpose"]), float(record["distance_km"])
-                    ),
-                    "sq_mode": CurrentMode(record["current_mode"]),
+                    "context": context,
+                    "sq_mode": persona.current_mode,
                     "attrs": {},
                     "avail": {},
                     "chosen": None,
                 }
             )
-        task = current["tasks"][-1]
-        alt = Alternative(record["alt"])
-        task["attrs"][alt] = AttributeBundle(
-            **{c: float(record[c]) for c in _ATTRIBUTE_COLUMNS}
-        )
-        task["avail"][alt] = record["available"] == "1"
-        if record["chosen"] == "1":
+        elif context != tasks[-1]["context"]:
+            raise ValidationError(
+                f"{where}: trip context differs from earlier rows of task {task_id}"
+            )
+        task = tasks[-1]
+        if alt in task["attrs"]:
+            raise ValidationError(f"{where}: second {alt.value} row in task {task_id}")
+        if chosen and task["chosen"] is not None:
+            raise ValidationError(f"{where}: second chosen=1 row in task {task_id}")
+        task["attrs"][alt] = bundle
+        task["avail"][alt] = available
+        if chosen:
             task["chosen"] = alt
-    if current is not None:
-        flush(current)
+    if current is None:
+        raise ValidationError(f"dataset {path} has no data rows")
+    flush(current)
 
     purposes = {obs.context.purpose for ind in individuals for obs in ind.tasks}
     kind = (
@@ -185,11 +228,15 @@ def load_params(path) -> ParameterVector:
     fixed: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["name", "value", "fixed"]:
             raise ValidationError(f"unexpected parameter header in {path}")
-        for name, value, flag in reader:
-            values[name] = float(value)
+        for row in reader:
+            try:
+                name, value, flag = row
+                values[name] = float(value)
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
             if flag == "1":
                 fixed.add(name)
     return ParameterVector(values, frozenset(fixed))
@@ -261,6 +308,8 @@ def format_results_text(result: EstimationResult, spec: ModelSpec) -> str:
         f"Convergence: {status} ({conv.iterations} iterations, "
         f"gradient norm {conv.gradient_norm:.2e})"
     )
+    if result.std_errors_missing is not None:
+        lines.append(f"Standard errors: unavailable ({result.std_errors_missing})")
     return "\n".join(lines) + "\n"
 
 
@@ -273,11 +322,10 @@ def save_results(result: EstimationResult, spec: ModelSpec, out_dir) -> None:
         pv = result.p_values or {}
         for title, names in _report_sections(spec):
             for name in names:
-                se_s = repr(se[name]) if name in se else ""
-                pv_s = repr(pv[name]) if name in pv else ""
-                handle.write(
-                    f"{title},{name},{result.estimates[name]!r},{se_s},{pv_s}\n"
-                )
+                se_s = repr(float(se[name])) if name in se else ""
+                pv_s = repr(float(pv[name])) if name in pv else ""
+                estimate = repr(float(result.estimates[name]))
+                handle.write(f"{title},{name},{estimate},{se_s},{pv_s}\n")
     save_params(result.estimates, out_dir / "estimates.csv")
 
 

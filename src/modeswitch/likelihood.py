@@ -1,8 +1,9 @@
-"""Simulated panel log-likelihood, analytic gradient, and fit statistics.
+"""Simulated panel log-likelihood, analytic gradient and Hessian, fit statistics.
 
 The panel probability of an individual is the average over draws of the
 product of per-task logit probabilities; utilities are linear in every
-parameter once draws are fixed, which gives the gradient in closed form.
+parameter once draws are fixed, which gives the gradient and the Hessian
+in closed form.
 The same draw matrix is reused for every evaluation within a run (common
 random numbers), so the simulated objective is smooth.
 """
@@ -19,6 +20,10 @@ from .draws import DrawMatrix
 from .model import ModelSpec, ParameterVector, ValidationError, availability
 
 _P_CACHE_BYTES = 512 * 1024 * 1024  # keep per-draw probabilities between passes below this
+# Draws per step of the Hessian pass. Its per-draw score and covariate arrays
+# scale with this; at 25 the pass leaves an estimation's peak memory where the
+# likelihood evaluations put it, and its time hardly depends on the value.
+_HESSIAN_SUB_BLOCK = 25
 
 
 @dataclass(frozen=True)
@@ -168,28 +173,40 @@ class EvaluationContext:
                 prob_chunks.append(p)
         return panel, prob_chunks
 
-    def loglik(self, params: ParameterVector) -> float:
-        ll, _ = self._loglik_impl(params, want_gradient=False)
-        return ll
+    def _simulate(self, params: ParameterVector, keep_probs: bool):
+        """Utilities, sigma, panel matrix, panel probabilities and kept probability chunks.
 
-    def loglik_and_gradient(self, params: ParameterVector):
-        """Simulated log-likelihood and its gradient over the free parameters."""
-        return self._loglik_impl(params, want_gradient=True)
-
-    def _loglik_impl(self, params: ParameterVector, want_gradient: bool):
+        Raises ZeroProbabilityError when an individual's simulated probability is zero.
+        """
         compiled = self.compiled
         beta, sigma = split_params(compiled, params)
-        abs_sigma = np.abs(sigma)
         v = compiled.design @ beta
-
-        panel, prob_chunks = self._panel_matrix(v, abs_sigma, keep_probs=want_gradient)
+        panel, prob_chunks = self._panel_matrix(v, np.abs(sigma), keep_probs)
         prob = panel.mean(axis=1)
         if (prob <= 0.0).any():
             bad = int(np.argmax(prob <= 0.0))
             raise ZeroProbabilityError(compiled.individual_ids[bad])
+        return v, sigma, panel, prob, prob_chunks
+
+    def _block_probs(self, prob_chunks, v, sigma, start: int, stop: int):
+        """Probabilities of one draw block, from the kept chunks or recomputed."""
+        if prob_chunks is not None:
+            return prob_chunks[start // self.draw_block]
+        return self._chunk_probs(v, np.abs(sigma), start, stop)
+
+    def _free_index(self, params: ParameterVector) -> list[int]:
+        names = self.compiled.parameter_names
+        return [names.index(name) for name in params.free_names]
+
+    def loglik(self, params: ParameterVector) -> float:
+        _, _, _, prob, _ = self._simulate(params, keep_probs=False)
+        return float(np.log(prob).sum())
+
+    def loglik_and_gradient(self, params: ParameterVector):
+        """Simulated log-likelihood and its gradient over the free parameters."""
+        compiled = self.compiled
+        v, sigma, panel, prob, prob_chunks = self._simulate(params, keep_probs=True)
         ll = float(np.log(prob).sum())
-        if not want_gradient:
-            return ll, None
 
         # Draw weights w[n, d] sum to one per individual, so the
         # chosen-alternative part of the score collapses to the one-hot
@@ -198,12 +215,8 @@ class EvaluationContext:
         w_obs_full = w[compiled.obs_individual]
         n_comp = compiled.n_components
 
-        def work(index_start_stop):
-            index, (start, stop) = index_start_stop
-            if prob_chunks is not None:
-                p = prob_chunks[index]
-            else:
-                p = self._chunk_probs(v, abs_sigma, start, stop)
+        def work(start, stop):
+            p = self._block_probs(prob_chunks, v, sigma, start, stop)
             w_obs = w_obs_full[:, start:stop]
             pw = p * w_obs[:, :, None]  # (n_obs, D, 3)
             sum_wp = pw.sum(axis=1)
@@ -215,12 +228,7 @@ class EvaluationContext:
                 a_z = b_z = None
             return sum_wp, a_z, b_z
 
-        if self.threads == 1 or len(self._blocks) == 1:
-            pieces = [work(item) for item in enumerate(self._blocks)]
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                pieces = list(pool.map(work, enumerate(self._blocks)))
-
+        pieces = self._map_blocks(work)
         sum_wp = np.zeros((compiled.n_obs, 3))
         a_z = np.zeros((compiled.n_obs, n_comp))
         b_z = np.zeros((compiled.n_obs, 3, n_comp))
@@ -241,9 +249,104 @@ class EvaluationContext:
             neg = np.einsum("ojc,jc->c", b_z, compiled.loadings)
             grad_sigma = sign * (pos - neg)
 
-        full = dict(zip(compiled.parameter_names, np.concatenate([grad_beta, grad_sigma])))
-        grad_free = np.array([full[name] for name in params.free_names])
-        return ll, grad_free
+        grad = np.concatenate([grad_beta, grad_sigma])
+        return ll, grad[self._free_index(params)]
+
+    def hessian(self, params: ParameterVector) -> np.ndarray:
+        """Hessian of the simulated log-likelihood over the free parameters.
+
+        With the draws fixed, utilities are linear in beta and |sigma|, so
+        for individual n (Train 2009, section 10.2)
+
+            d2 ln P_n = sum_d w_nd (H_nd + g_nd g_nd') - gbar_n gbar_n'
+
+        with w_nd the draw weights of the gradient, g_nd = sum_t (x_t,chosen,d
+        - xbar_td) the per-draw score, gbar_n = sum_d w_nd g_nd, and H_nd =
+        -sum_t sum_j p_tjd (x_tjd - xbar_td)(x_tjd - xbar_td)' the per-draw
+        logit curvature. The covariate of a beta is ``design[t, j]``; that of
+        sigma_c is sign(sigma_c) loadings[j, c] z_ndc. The within-task terms
+        are reduced to per-task moments; the scores are built per task
+        position over sub-blocks of draws, so no (obs, draw, parameter)
+        array is ever formed.
+        """
+        compiled = self.compiled
+        v, sigma, panel, _, prob_chunks = self._simulate(params, keep_probs=True)
+        w = panel / panel.sum(axis=1, keepdims=True)
+        sign = np.sign(sigma)
+
+        design = compiled.design
+        loadings = compiled.loadings
+        starts = compiled.obs_starts
+        n_obs, n_ind = compiled.n_obs, compiled.n_individuals
+        n_beta, n_comp = design.shape[2], compiled.n_components
+        n_par = n_beta + n_comp
+        chosen_design = np.add.reduceat(design[self._rows, compiled.chosen], starts, axis=0)
+        chosen_load = np.add.reduceat(loadings[compiled.chosen], starts, axis=0)
+        n_tasks = np.diff(np.append(starts, n_obs))
+        positions = []  # (individuals with a k-th task, their k-th rows)
+        for k in range(int(n_tasks.max())):
+            who = np.flatnonzero(n_tasks > k)
+            rows = starts[who] + k
+            positions.append((who, rows))
+        diag = np.arange(3)
+
+        def within_task(p, lo, hi):
+            """Sums over draws lo..hi, weighted by w, of the within-task moments:
+            diag(p) - p p' and p_j e_jc per task, and sum_j p_j e_j e_j' over all
+            tasks, with the centred sigma covariate e_jc = z_c (loadings[j, c] -
+            q_c), q = p @ loadings; sign(sigma) is applied by the caller."""
+            w_obs = w[compiled.obs_individual, lo:hi]
+            pw = p * w_obs[:, :, None]
+            pw_t = pw.transpose(0, 2, 1)
+            omega = -np.matmul(pw_t, p)
+            omega[:, diag, diag] += pw.sum(axis=1)
+            z = self.z_obs[:, lo:hi]
+            q = p @ loadings
+            zq = z * q
+            cross = np.matmul(pw_t, z) * loadings - np.matmul(pw_t, zq)
+            sigma_sq = -np.tensordot(w_obs[:, :, None] * zq, zq, axes=([0, 1], [0, 1]))
+            for j in range(3):
+                pz = pw[:, :, j, None] * z
+                sigma_sq += np.outer(loadings[j], loadings[j]) * np.tensordot(
+                    pz, z, axes=([0, 1], [0, 1])
+                )
+            return omega, cross, sigma_sq, np.add.reduceat(q, starts, axis=0)
+
+        def scores(p, q_sum, lo, hi):
+            """Sums over draws lo..hi of w g g' and, per individual, of w g."""
+            score = np.empty((n_ind, hi - lo, n_par))
+            score[:, :, :n_beta] = chosen_design[:, None, :]
+            for who, rows in positions:
+                score[who, :, :n_beta] -= np.matmul(p[rows], design[rows])
+            score[:, :, n_beta:] = (
+                sign * self.z_obs[starts, lo:hi] * (chosen_load[:, None, :] - q_sum)
+            )
+            weighted = score * w[:, lo:hi, None]
+            return weighted.reshape(-1, n_par).T @ score.reshape(-1, n_par), weighted.sum(axis=1)
+
+        def work(start, stop):
+            p_block = self._block_probs(prob_chunks, v, sigma, start, stop)
+            sums = None
+            for lo in range(start, stop, _HESSIAN_SUB_BLOCK):
+                hi = min(lo + _HESSIAN_SUB_BLOCK, stop)
+                p = p_block[:, lo - start:hi - start]
+                omega, cross, sigma_sq, q_sum = within_task(p, lo, hi)
+                part = (omega, cross, sigma_sq) + scores(p, q_sum, lo, hi)
+                sums = part if sums is None else tuple(a + b for a, b in zip(sums, part))
+            return sums
+
+        pieces = self._map_blocks(work)
+        omega, cross, sigma_sq, outer, g_bar = (sum(parts[1:], parts[0]) for parts in zip(*pieces))
+
+        within = np.empty((n_par, n_par))
+        within[:n_beta, :n_beta] = np.tensordot(design, omega @ design, axes=([0, 1], [0, 1]))
+        within[:n_beta, n_beta:] = np.tensordot(design, cross, axes=([0, 1], [0, 1])) * sign
+        within[n_beta:, :n_beta] = within[:n_beta, n_beta:].T
+        within[n_beta:, n_beta:] = sigma_sq * np.outer(sign, sign)
+        hess = outer - g_bar.T @ g_bar - within
+        hess = (hess + hess.T) / 2.0
+        free = self._free_index(params)
+        return hess[np.ix_(free, free)]
 
 
 def simulated_loglik(

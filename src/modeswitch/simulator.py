@@ -157,6 +157,17 @@ def substitution_table(
     return ShareTable(tuple(rows))
 
 
+def _check_comparable(base: ScenarioDefinition, modified: ScenarioDefinition) -> None:
+    if base.persona != modified.persona or base.context != modified.context:
+        raise ValidationError("policy comparisons must hold persona and context fixed")
+    if base.seed != modified.seed or base.n_draws != modified.n_draws:
+        raise ValidationError("policy comparisons need identical seeds and draw counts")
+
+
+def _delta(base_shares: np.ndarray, modified_shares: np.ndarray) -> dict[Alternative, float]:
+    return dict(zip(ALTERNATIVES, 100.0 * (modified_shares - base_shares)))
+
+
 def policy_delta(
     base: ScenarioDefinition,
     modified: ScenarioDefinition,
@@ -168,11 +179,29 @@ def policy_delta(
     Both scenarios must share persona, context, seed and draw count so the
     comparison runs on common random numbers.
     """
-    if base.persona != modified.persona or base.context != modified.context:
-        raise ValidationError("policy comparisons must hold persona and context fixed")
-    if base.seed != modified.seed or base.n_draws != modified.n_draws:
-        raise ValidationError("policy comparisons need identical seeds and draw counts")
-    base_shares = scenario_probabilities(base, params, spec)
-    modified_shares = scenario_probabilities(modified, params, spec)
-    delta = 100.0 * (modified_shares - base_shares)
-    return dict(zip(ALTERNATIVES, delta))
+    _check_comparable(base, modified)
+    return _delta(
+        scenario_probabilities(base, params, spec),
+        scenario_probabilities(modified, params, spec),
+    )
+
+
+def policy_table(
+    scenarios: Mapping[str, ScenarioDefinition],
+    base_name: str,
+    params: ParameterVector,
+    spec: ModelSpec,
+) -> tuple[dict[str, np.ndarray], dict[str, dict[Alternative, float]]]:
+    """Shares in percent of every scenario, and each one's ``policy_delta`` against the base.
+
+    Each scenario is simulated once; the deltas equal ``policy_delta``'s.
+    """
+    base = scenarios[base_name]
+    for scenario in scenarios.values():
+        _check_comparable(base, scenario)
+    probs = {name: scenario_probabilities(s, params, spec) for name, s in scenarios.items()}
+    shares = {name: 100.0 * p for name, p in probs.items()}
+    deltas = {
+        name: _delta(probs[base_name], p) for name, p in probs.items() if name != base_name
+    }
+    return shares, deltas

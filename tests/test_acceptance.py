@@ -2,8 +2,7 @@
 
 The parameter-recovery criterion estimates five full-size synthetic
 datasets at 1000 draws and dominates the runtime of the whole suite
-(roughly 15-20 minutes on one laptop core); everything else finishes in
-seconds to a few minutes.
+(roughly 6-7 minutes on one core); everything else finishes in seconds.
 """
 
 import itertools

@@ -174,6 +174,39 @@ class TestSimulateCommand:
         rows = (out / "policies.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 5  # base plus four policies
 
+    def test_policy_preset_simulates_each_scenario_once(self, tmp_path, monkeypatch):
+        from modeswitch import simulator
+
+        calls = []
+        original = simulator.scenario_probabilities
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(simulator, "scenario_probabilities", counted)
+        out = tmp_path / "pol"
+        assert run(
+            ["simulate", "--scenarios", "car-policies", "--draws", 2000, "--out", out]
+        ) == 0
+        scenarios = presets.policy_scenarios(0, 2000)
+        assert len(calls) == len(scenarios) == 5
+
+        # the table the pairwise policy_delta calls give, byte for byte
+        params = presets.bundled_estimates(DatasetKind.NONCOMMUTE)
+        spec = presets.model_spec(DatasetKind.NONCOMMUTE)
+        base = scenarios[presets.POLICY_BASELINE]
+        shares = {
+            name: 100.0 * original(s, params, spec) for name, s in scenarios.items()
+        }
+        deltas = {
+            name: simulator.policy_delta(base, s, params, spec)
+            for name, s in scenarios.items()
+            if name != presets.POLICY_BASELINE
+        }
+        mio.save_policy_table(shares, deltas, tmp_path)
+        assert (out / "policies.csv").read_bytes() == (tmp_path / "policies.csv").read_bytes()
+
     def test_row_sums(self, tmp_path):
         out = tmp_path / "sim2"
         run(["simulate", "--scenarios", "commute-grid", "--draws", 2000, "--out", out])

@@ -180,6 +180,43 @@ class TestEstimate:
         with pytest.raises(ValidationError, match="sev_shopping"):
             validate_for_estimation(dataset, spec, params)
 
+    def test_std_errors_match_finite_difference_hessian(self, small_problem, fitted):
+        from modeswitch.dataset import compile_dataset
+        from modeswitch.draws import standard_normal_mlhs
+        from modeswitch.likelihood import EvaluationContext
+
+        spec, _, dataset = small_problem
+        compiled = compile_dataset(dataset, spec)
+        draws = standard_normal_mlhs(
+            compiled.n_individuals, FAST.n_draws, 1, FAST.seed,
+            individual_ids=compiled.individual_ids,
+        )
+        context = EvaluationContext(compiled, draws, draw_block=FAST.draw_block)
+        estimates = fitted.estimates
+
+        def grad(x):
+            return context.loglik_and_gradient(estimates.with_free_array(x))[1]
+
+        reference = std_errors(numerical_hessian(grad, estimates.free_array()))
+        got = [fitted.std_errors[name] for name in estimates.free_names]
+        np.testing.assert_allclose(got, reference, rtol=1e-4)
+        assert fitted.std_errors_missing is None
+
+    def test_singular_hessian_reports_why(self, small_problem):
+        # a spread started exactly at zero has a zero gradient and never moves,
+        # so its Hessian row is zero
+        from modeswitch.io import format_results_text
+
+        spec, truth, dataset = small_problem
+        start = truth.with_values({"sigma_shared": 0.0})
+        result = estimate(dataset, spec, start=start, settings=FAST)
+        assert result.estimates["sigma_shared"] == 0.0
+        assert result.std_errors is None and result.p_values is None
+        assert result.std_errors_missing.startswith("Hessian is singular")
+        assert "smallest eigenvalue of -H" in result.std_errors_missing
+        lines = format_results_text(result, spec).splitlines()
+        assert lines[-1] == f"Standard errors: unavailable ({result.std_errors_missing})"
+
     def test_no_free_parameters_short_circuits(self, small_problem):
         spec, truth, dataset = small_problem
         pinned = truth.with_fixed(truth.names)

@@ -1,9 +1,11 @@
 import json
+import re
 
 import pytest
 
 from modeswitch import io as mio
 from modeswitch import presets
+from modeswitch.cli import main
 from modeswitch.designer import build_commuting_tasks, commuting_plan, ReferenceTrip
 from modeswitch.estimator import EstimationSettings, estimate
 from modeswitch.model import CurrentMode, DatasetKind, ParameterVector, ValidationError
@@ -54,6 +56,66 @@ class TestDatasetRoundTrip:
             mio.load_dataset(bad)
 
 
+def _set(column, value):
+    index = mio.DATASET_COLUMNS.index(column)
+
+    def edit(fields):
+        fields[index] = value
+        return fields
+
+    return edit
+
+
+# (edits by file line number, line the error names, message fragment); line 1
+# is the header and lines 2-4 hold the three alternatives of the first task
+DEFECTS = {
+    "several chosen rows": (
+        {n: _set("chosen", "1") for n in (2, 3, 4)}, 3, "second chosen=1 row"),
+    "available not 0/1": ({3: _set("available", "2")}, 3, "bad available '2'"),
+    "duplicate alternative": ({3: _set("alt", "sq")}, 3, "second sq row"),
+    "bad enum": ({2: _set("current_mode", "scooter")}, 2, "bad current_mode 'scooter'"),
+    "bad float": ({4: _set("travel_time_min", "ten")}, 4, "bad travel_time_min 'ten'"),
+    "short row": ({3: lambda fields: fields[:-1]}, 3, "expected 19 fields, got 18"),
+    "persona differs": ({5: _set("age_group", "ge60")}, 5, "persona differs"),
+    "trip context differs": ({3: _set("distance_km", "2.0")}, 3, "trip context differs"),
+}
+
+
+class TestStrictLoading:
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_defect_names_file_and_line(self, defect, tmp_path, capsys):
+        edits, line, message = DEFECTS[defect]
+        path = tmp_path / "ds.csv"
+        mio.save_dataset(tiny_dataset(n_individuals=3, n_tasks=2, seed=5), path)
+        lines = path.read_text().splitlines()
+        for number, edit in edits.items():
+            lines[number - 1] = ",".join(edit(lines[number - 1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:{line}: .*{message}"):
+            mio.load_dataset(path)
+        code = main(["estimate", "--data", str(path), "--out", str(tmp_path / "fit")])
+        assert code == 2
+        assert f"{path}:{line}:" in capsys.readouterr().err
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(mio.DATASET_COLUMNS) + "\n")
+        with pytest.raises(ValidationError, match="no data rows"):
+            mio.load_dataset(path)
+
+    def test_bad_parameter_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "params.csv"
+        path.write_text("name,value,fixed\na,0.5,0\nb,half,1\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: "):
+            mio.load_params(path)
+        path.write_text("name,value,fixed\na,0.5\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: "):
+            mio.load_params(path)
+        path.write_text("")
+        with pytest.raises(ValidationError, match="unexpected parameter header"):
+            mio.load_params(path)
+
+
 class TestParamsRoundTrip:
     def test_round_trip(self, tmp_path):
         params = ParameterVector({"a": -1.25, "b": 0.5}, fixed=frozenset({"b"}))
@@ -92,6 +154,21 @@ class TestReports:
         assert "Null log-likelihood" in text
         assert "Pseudo rho-square" in text
         assert "Convergence: converged" in text
+
+    def test_standard_error_line_only_when_missing(self, small_result):
+        spec, result = small_result
+        assert result.std_errors is not None
+        assert "Standard errors" not in mio.format_results_text(result, spec)
+
+    def test_results_csv_writes_plain_floats(self, small_result, tmp_path):
+        spec, result = small_result
+        mio.save_results(result, spec, tmp_path)
+        lines = (tmp_path / "results.csv").read_text().strip().splitlines()
+        for line in lines[1:]:
+            _, name, estimate, se, p_value = line.split(",")
+            assert float(estimate) == result.estimates[name]
+            assert float(se) == result.std_errors[name]
+            assert float(p_value) == result.p_values[name]
 
     def test_results_files_written(self, small_result, tmp_path):
         spec, result = small_result

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from modeswitch.dataset import ChoiceDataset, Individual, compile_dataset
 from modeswitch.draws import DrawMatrix, standard_normal_mlhs
+from modeswitch.estimator import numerical_hessian
 from modeswitch.likelihood import (
     EvaluationContext,
     ZeroProbabilityError,
@@ -327,3 +328,69 @@ class TestGradient:
             1 for ind in ds.individuals for obs in ind.tasks if obs.chosen is SEV
         )
         assert grad[idx] == pytest.approx(observed - n_obs / 3, abs=1e-9)
+
+
+def finite_difference_hessian(context, params):
+    def grad(x):
+        return context.loglik_and_gradient(params.with_free_array(x))[1]
+
+    return numerical_hessian(grad, params.free_array())
+
+
+class TestHessian:
+    @pytest.mark.parametrize("n_components", [0, 1, 2])
+    @pytest.mark.parametrize("fixed", [(), ("asc_seb", "sigma_shared")])
+    def test_matches_finite_differences_on_tiny_spec(self, n_components, fixed):
+        spec = tiny_spec(n_components=n_components)
+        fixed = tuple(name for name in fixed if name in spec.coefficient_names)
+        # negative spreads: the likelihood uses |sigma|, the Hessian its sign
+        params = tiny_params(
+            spec,
+            {"asc_sev": 0.25, "asc_seb": -0.15, "beta_cost": -0.35, "beta_time": -0.04,
+             **{name: -0.7 + 0.4 * c for c, name in enumerate(spec.sigma_names)}},
+            fixed=fixed,
+        )
+        ds = tiny_dataset(n_individuals=25, n_tasks=3, spec=spec, seed=4)
+        if n_components:
+            draws = standard_normal_mlhs(25, 130, n_components, 3)
+        else:
+            draws = DrawMatrix(np.zeros((25, 1, 0)), seed=0)
+        context = EvaluationContext(compile_dataset(ds, spec), draws, draw_block=64)
+        hessian = context.hessian(params)
+        assert hessian.shape == (len(params.free_names),) * 2
+        np.testing.assert_allclose(
+            hessian, finite_difference_hessian(context, params),
+            rtol=1e-4, atol=1e-4 * np.abs(hessian).max(),
+        )
+
+    def test_matches_finite_differences_on_bundled_spec(
+        self, noncommute_spec, noncommute_estimates
+    ):
+        from modeswitch.cli import synthesize_dataset
+
+        ds = synthesize_dataset(DatasetKind.NONCOMMUTE, 40, 6, noncommute_estimates)
+        compiled = compile_dataset(ds, noncommute_spec)
+        draws = standard_normal_mlhs(
+            compiled.n_individuals, 120, 3, 11, individual_ids=compiled.individual_ids
+        )
+        context = EvaluationContext(compiled, draws, draw_block=70)
+        hessian = context.hessian(noncommute_estimates)
+        assert hessian.shape == (44, 44)
+        np.testing.assert_allclose(
+            hessian, finite_difference_hessian(context, noncommute_estimates),
+            rtol=1e-4, atol=1e-4 * np.abs(hessian).max(),
+        )
+
+    def test_bit_identical_across_thread_counts_and_repeats(self):
+        spec = tiny_spec(n_components=2)
+        params = tiny_params(spec, {"asc_sev": 0.3, "beta_cost": -0.4,
+                                    "sigma_shared": 0.8, "sigma_sev": -0.5})
+        ds = tiny_dataset(n_individuals=20, n_tasks=3, spec=spec)
+        compiled = compile_dataset(ds, spec)
+        draws = standard_normal_mlhs(20, 150, 2, 2)
+        one = EvaluationContext(compiled, draws, draw_block=70, threads=1)
+        two = EvaluationContext(compiled, draws, draw_block=70, threads=2)
+        first = one.hessian(params)
+        np.testing.assert_array_equal(first, two.hessian(params))
+        np.testing.assert_array_equal(first, one.hessian(params))
+        assert (first == first.T).all()
