@@ -12,7 +12,7 @@ import argparse
 import time
 
 from modeswitch import presets
-from modeswitch.cli import synthesize_dataset
+from modeswitch.synthesizer import synthesize_dataset
 from modeswitch.estimator import EstimationSettings, estimate
 from modeswitch.model import DatasetKind
 

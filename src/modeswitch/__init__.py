@@ -22,9 +22,6 @@ from .model import (  # noqa: F401
     ValidationError,
     availability,
     build_congestion_covariate,
-    random_utility_offset,
-    systematic_utility_ehub,
-    systematic_utility_sq,
 )
 from .dataset import ChoiceDataset, Individual, compile_dataset  # noqa: F401
 from .draws import DrawMatrix, mlhs_uniform, standard_normal_mlhs, to_standard_normal  # noqa: F401
@@ -58,6 +55,7 @@ from .synthesizer import (  # noqa: F401
     sample_population,
     sample_reference_trip,
     simulate_choices,
+    synthesize_dataset,
 )
 from .simulator import (  # noqa: F401
     ScenarioDefinition,

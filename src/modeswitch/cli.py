@@ -16,7 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import presets, specfile
-from .dataset import ChoiceDataset
 from .designer import (
     ReferenceTrip,
     build_commuting_tasks,
@@ -37,7 +36,7 @@ from .model import (
     ValidationError,
 )
 from .simulator import ScenarioDefinition, policy_table, substitution_table
-from .synthesizer import sample_population, sample_reference_trip, simulate_choices
+from .synthesizer import synthesize_dataset
 from . import io as mio
 
 THREADS_ENV_VAR = "MODESWITCH_THREADS"
@@ -66,9 +65,12 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Config-file values fill in flags the user left unset."""
     config = dict(defaults)
     if args.config:
-        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
-            raise ValidationError("config file must hold a JSON object")
+            raise ValidationError(f"{args.config}: config file must hold a JSON object")
         config.update(loaded)
     for key, value in vars(args).items():
         if key in ("config", "command", "func") or value is None:
@@ -149,36 +151,6 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def synthesize_dataset(kind: DatasetKind, n: int, seed: int, truth) -> ChoiceDataset:
-    """Population, batteries, assignment, and simulated choices in one step."""
-    import numpy as np
-
-    from .designer import assign_tasks
-
-    spec = presets.model_spec(kind)
-    marginals = presets.population_marginals(kind)
-    personas = sample_population(n, marginals, seed)
-    task_sets = []
-    if kind is DatasetKind.NONCOMMUTE:
-        batteries = {
-            mode: presets.noncommute_battery(mode)
-            for mode in (CurrentMode.CAR, CurrentMode.PUBLIC_TRANSPORT,
-                         CurrentMode.BIKE, CurrentMode.WALK)
-        }
-        for i, persona in enumerate(personas):
-            assign_seed = int(np.random.SeedSequence(seed, spawn_key=(1, i)).generate_state(1)[0])
-            task_sets.append(
-                assign_tasks(batteries[persona.modelled_mode()], kind, assign_seed)
-            )
-    else:
-        for i, persona in enumerate(personas):
-            trip_seed = int(np.random.SeedSequence(seed, spawn_key=(2, i)).generate_state(1)[0])
-            ref = sample_reference_trip(persona.modelled_mode(), trip_seed)
-            assign_seed = int(np.random.SeedSequence(seed, spawn_key=(3, i)).generate_state(1)[0])
-            task_sets.append(assign_tasks(build_commuting_tasks(ref), kind, assign_seed))
-    return simulate_choices(spec, truth, personas, task_sets, seed)
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _merge_config(
         args, {"seed": 0, "draws": 1000, "threads": _default_threads()}
@@ -212,23 +184,30 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_from_cell(cell: dict, kind: DatasetKind, seed: int, n_draws: int) -> ScenarioDefinition:
-    mode = CurrentMode(cell["mode"])
-    distance = float(cell["distance_km"])
-    overrides = {
-        Alternative(alt): dict(fields) for alt, fields in cell.get("overrides", {}).items()
-    }
-    scenario = presets.base_scenario(mode, distance, kind, seed, n_draws, overrides)
-    if "persona" in cell:
-        p = cell["persona"]
-        persona = Persona(
-            age_group=AgeGroup(p.get("age_group", "le35")),
-            higher_education=bool(p.get("higher_education", True)),
-            income_band=IncomeBand(p.get("income_band", "middle")),
-            has_children=bool(p.get("has_children", False)),
-            current_mode=mode,
-        )
-        scenario = replace(scenario, persona=persona)
+def _scenario_from_cell(
+    cell: dict, kind: DatasetKind, seed: int, n_draws: int, where: str
+) -> ScenarioDefinition:
+    """One scenario from a cell of a scenario file; ``where`` names the cell in errors."""
+    try:
+        mode = CurrentMode(cell["mode"])
+        distance = float(cell["distance_km"])
+        overrides = {
+            Alternative(alt): dict(fields)
+            for alt, fields in dict(cell.get("overrides", {})).items()
+        }
+        scenario = presets.base_scenario(mode, distance, kind, seed, n_draws, overrides)
+        if "persona" in cell:
+            p = dict(cell["persona"])
+            persona = Persona(
+                age_group=AgeGroup(p.get("age_group", "le35")),
+                higher_education=bool(p.get("higher_education", True)),
+                income_band=IncomeBand(p.get("income_band", "middle")),
+                has_children=bool(p.get("has_children", False)),
+                current_mode=mode,
+            )
+            scenario = replace(scenario, persona=persona)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: {type(exc).__name__}: {exc}") from None
     return scenario
 
 
@@ -246,9 +225,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if source in SCENARIO_PRESETS:
         kind = DatasetKind.COMMUTE if source == "commute-grid" else DatasetKind.NONCOMMUTE
     else:
-        payload = json.loads(Path(source).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(source).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{source}: not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ValidationError(f"{source}: scenario file must hold a JSON object")
         inputs.append(source)
-        kind = DatasetKind(payload.get("kind", config.get("kind", "noncommute")))
+        try:
+            kind = DatasetKind(payload.get("kind", config.get("kind", "noncommute")))
+            seed = int(payload.get("seed", seed))
+            n_draws = int(payload.get("n_draws", n_draws))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{source}: {type(exc).__name__}: {exc}") from None
     spec = presets.model_spec(kind)
 
     if config.get("params"):
@@ -271,19 +260,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             mio.save_share_table(table, out, excluded)
     else:
-        seed = int(payload.get("seed", seed))
-        n_draws = int(payload.get("n_draws", n_draws))
         if "policies" in payload:
-            base = _scenario_from_cell(payload["base"], kind, seed, n_draws)
+            base = _scenario_from_cell(payload["base"], kind, seed, n_draws, f"{source}: base")
             scenarios = {presets.POLICY_BASELINE: base}
             for name, overrides in payload["policies"].items():
                 cell = dict(payload["base"])
                 cell["overrides"] = overrides
-                scenarios[name] = _scenario_from_cell(cell, kind, seed, n_draws)
+                scenarios[name] = _scenario_from_cell(
+                    cell, kind, seed, n_draws, f"{source}: policy {name!r}"
+                )
             _write_policies(scenarios, params, spec, out)
         else:
             grid = [
-                _scenario_from_cell(cell, kind, seed, n_draws) for cell in payload["cells"]
+                _scenario_from_cell(cell, kind, seed, n_draws, f"{source}: cell {index}")
+                for index, cell in enumerate(payload["cells"])
             ]
             table = substitution_table(grid, params, spec)
             mio.save_share_table(table, out, payload.get("excluded", []))

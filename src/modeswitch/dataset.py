@@ -9,6 +9,8 @@ single place where the declarative spec meets the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from .model import (
@@ -95,7 +97,7 @@ class CompiledData:
     sigma_names: tuple[str, ...]
     design: np.ndarray          # (n_obs, 3, n_beta)
     avail: np.ndarray           # (n_obs, 3) bool
-    chosen: np.ndarray          # (n_obs,) int alternative index
+    chosen: np.ndarray          # (n_obs,) int alternative index, -1 if unanswered
     obs_individual: np.ndarray  # (n_obs,) index into individuals
     obs_starts: np.ndarray      # (n_individuals,) first obs row per individual
     loadings: np.ndarray        # (3, n_components) 0/1
@@ -117,42 +119,57 @@ class CompiledData:
     def parameter_names(self) -> tuple[str, ...]:
         return self.beta_names + self.sigma_names
 
+    def spread(self, sigma: np.ndarray) -> np.ndarray:
+        """Error-component spread per (alternative, component): loadings x |sigma|.
+
+        The sign of a spread is not identified; every utility takes it by
+        absolute value here.
+        """
+        return self.loadings * np.abs(sigma)
+
 
 def compile_dataset(dataset: ChoiceDataset, spec: ModelSpec) -> CompiledData:
     if spec.kind is not dataset.kind:
         raise ValidationError(
             f"spec is for {spec.kind.value} data, dataset is {dataset.kind.value}"
         )
+    return compile_individuals(dataset.individuals, spec)
+
+
+def compile_individuals(individuals: Sequence[Individual], spec: ModelSpec) -> CompiledData:
+    """Compile individuals whose tasks may be unanswered; such tasks get chosen index -1."""
     beta_names = spec.beta_names
     beta_index = {name: k for k, name in enumerate(beta_names)}
-    n_obs = dataset.n_observations
+    terms_by_alt = [[t for t in spec.terms if alt in t.alternatives] for alt in ALTERNATIVES]
+    n_obs = sum(len(ind.tasks) for ind in individuals)
 
     design = np.zeros((n_obs, 3, len(beta_names)))
     avail = np.zeros((n_obs, 3), dtype=bool)
-    chosen = np.zeros(n_obs, dtype=np.int64)
+    chosen = np.full(n_obs, -1, dtype=np.int64)
     obs_individual = np.zeros(n_obs, dtype=np.int64)
-    obs_starts = np.zeros(dataset.n_individuals, dtype=np.int64)
+    obs_starts = np.zeros(len(individuals), dtype=np.int64)
 
     row = 0
-    for n, ind in enumerate(dataset.individuals):
+    for n, ind in enumerate(individuals):
         obs_starts[n] = row
         persona = ind.persona
         for obs in ind.tasks:
-            for alt in ALTERNATIVES:
-                j = ALT_INDEX[alt]
+            for j, alt in enumerate(ALTERNATIVES):
                 avail[row, j] = obs.availability[alt] and availability(obs, alt, persona)
                 bundle = obs.attributes[alt]
-                for term in spec.terms_for(alt, persona, obs.context):
-                    design[row, j, beta_index[term.coefficient]] += covariate_value(
-                        term.covariate, bundle, spec.kind
+                for term in terms_by_alt[j]:
+                    if term.condition.matches(persona, obs.context):
+                        design[row, j, beta_index[term.coefficient]] += covariate_value(
+                            term.covariate, bundle, spec.kind
+                        )
+            if obs.chosen is not None:
+                j_chosen = ALT_INDEX[obs.chosen]
+                if not avail[row, j_chosen]:
+                    raise ValidationError(
+                        f"individual {ind.individual_id}: task {obs.task_id} chose an "
+                        f"unavailable alternative"
                     )
-            j_chosen = ALT_INDEX[obs.chosen]
-            if not avail[row, j_chosen]:
-                raise ValidationError(
-                    f"individual {ind.individual_id}: task {obs.task_id} chose an "
-                    f"unavailable alternative"
-                )
-            chosen[row] = j_chosen
+                chosen[row] = j_chosen
             obs_individual[row] = n
             row += 1
 
@@ -170,7 +187,7 @@ def compile_dataset(dataset: ChoiceDataset, spec: ModelSpec) -> CompiledData:
         obs_individual=obs_individual,
         obs_starts=obs_starts,
         loadings=loadings,
-        individual_ids=tuple(ind.individual_id for ind in dataset.individuals),
+        individual_ids=tuple(ind.individual_id for ind in individuals),
     )
 
 

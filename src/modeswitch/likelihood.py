@@ -131,14 +131,12 @@ class EvaluationContext:
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             return list(pool.map(lambda b: func(*b), self._blocks))
 
-    def _chunk_probs(self, v: np.ndarray, abs_sigma: np.ndarray, start: int, stop: int):
+    def _chunk_probs(self, v: np.ndarray, spread: np.ndarray, start: int, stop: int):
         """Choice probabilities (n_obs, D, 3) for one draw block."""
-        compiled = self.compiled
         z = self.z_obs[:, start:stop, :]
-        weighted = (compiled.loadings * abs_sigma).T  # (C, 3)
         n_obs, depth, n_comp = z.shape
         if n_comp:
-            u = (z.reshape(-1, n_comp) @ weighted).reshape(n_obs, depth, 3)
+            u = (z.reshape(-1, n_comp) @ spread.T).reshape(n_obs, depth, 3)
             u += (v + self.neg_inf_pad)[:, None, :]
         else:
             u = np.broadcast_to((v + self.neg_inf_pad)[:, None, :], (n_obs, depth, 3)).copy()
@@ -147,7 +145,7 @@ class EvaluationContext:
         u /= u.sum(axis=2, keepdims=True)
         return u
 
-    def _panel_matrix(self, v, abs_sigma, keep_probs: bool):
+    def _panel_matrix(self, v, spread, keep_probs: bool):
         """Per-(individual, draw) products of task probabilities.
 
         Returns (panel, prob_chunks); prob_chunks is None unless requested
@@ -158,7 +156,7 @@ class EvaluationContext:
         keep = keep_probs and self._cache_probs
 
         def work(start, stop):
-            p = self._chunk_probs(v, abs_sigma, start, stop)
+            p = self._chunk_probs(v, spread, start, stop)
             p_chosen = p[self._rows, :, compiled.chosen]
             with np.errstate(divide="ignore"):
                 logp = np.log(p_chosen)
@@ -181,7 +179,7 @@ class EvaluationContext:
         compiled = self.compiled
         beta, sigma = split_params(compiled, params)
         v = compiled.design @ beta
-        panel, prob_chunks = self._panel_matrix(v, np.abs(sigma), keep_probs)
+        panel, prob_chunks = self._panel_matrix(v, compiled.spread(sigma), keep_probs)
         prob = panel.mean(axis=1)
         if (prob <= 0.0).any():
             bad = int(np.argmax(prob <= 0.0))
@@ -192,7 +190,7 @@ class EvaluationContext:
         """Probabilities of one draw block, from the kept chunks or recomputed."""
         if prob_chunks is not None:
             return prob_chunks[start // self.draw_block]
-        return self._chunk_probs(v, np.abs(sigma), start, stop)
+        return self._chunk_probs(v, self.compiled.spread(sigma), start, stop)
 
     def _free_index(self, params: ParameterVector) -> list[int]:
         names = self.compiled.parameter_names
@@ -212,12 +210,11 @@ class EvaluationContext:
         # chosen-alternative part of the score collapses to the one-hot
         # matrix and only the probability-weighted parts need the draws.
         w = panel / panel.sum(axis=1, keepdims=True)
-        w_obs_full = w[compiled.obs_individual]
         n_comp = compiled.n_components
 
         def work(start, stop):
             p = self._block_probs(prob_chunks, v, sigma, start, stop)
-            w_obs = w_obs_full[:, start:stop]
+            w_obs = w[compiled.obs_individual, start:stop]
             pw = p * w_obs[:, :, None]  # (n_obs, D, 3)
             sum_wp = pw.sum(axis=1)
             if n_comp:
@@ -394,5 +391,7 @@ def panel_probability(
     draws = DrawMatrix(np.ascontiguousarray(individual_draws[None, :, :]), seed=0)
     context = EvaluationContext(compiled, draws)
     beta, sigma = split_params(compiled, params)
-    panel, _ = context._panel_matrix(compiled.design @ beta, np.abs(sigma), keep_probs=False)
+    panel, _ = context._panel_matrix(
+        compiled.design @ beta, compiled.spread(sigma), keep_probs=False
+    )
     return float(panel.mean())

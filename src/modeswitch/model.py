@@ -1,4 +1,4 @@
-"""Domain types and deterministic utility evaluation.
+"""Domain types and the declarative utility specification.
 
 The choice setting is a conditional switching one: every task offers the
 respondent's currently used mode (the status quo) next to two shared
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -348,15 +348,6 @@ class ModelSpec:
     def coefficient_names(self) -> tuple[str, ...]:
         return self.beta_names + self.sigma_names
 
-    def terms_for(
-        self, alt: Alternative, persona: Persona, context: TripContext
-    ) -> list[UtilityTerm]:
-        return [
-            t
-            for t in self.terms
-            if alt in t.alternatives and t.condition.matches(persona, context)
-        ]
-
 
 @dataclass(frozen=True)
 class ParameterVector:
@@ -427,68 +418,3 @@ def validate_params(spec: ModelSpec, params: ParameterVector) -> None:
     extra = present - referenced
     if extra:
         raise SpecificationError(f"parameter vector has unreferenced coefficients: {sorted(extra)}")
-
-
-# ---------------------------------------------------------------------------
-# Utility evaluation
-
-
-def _systematic_utility(
-    alt: Alternative,
-    obs: TaskObservation,
-    persona: Persona,
-    params: ParameterVector,
-    spec: ModelSpec,
-) -> float:
-    bundle = obs.attributes[alt]
-    total = 0.0
-    for term in spec.terms_for(alt, persona, obs.context):
-        total += params[term.coefficient] * covariate_value(term.covariate, bundle, spec.kind)
-    return total
-
-
-def systematic_utility_sq(
-    obs: TaskObservation, persona: Persona, params: ParameterVector, spec: ModelSpec
-) -> float:
-    """Deterministic utility of the currently used mode: attributes only."""
-    if not availability(obs, Alternative.STATUS_QUO, persona):
-        raise ValidationError(
-            f"status quo of {obs.sq_mode.value} is unavailable to a "
-            f"{persona.modelled_mode().value} user"
-        )
-    return _systematic_utility(Alternative.STATUS_QUO, obs, persona, params, spec)
-
-
-def systematic_utility_ehub(
-    alt: Alternative,
-    obs: TaskObservation,
-    persona: Persona,
-    params: ParameterVector,
-    spec: ModelSpec,
-) -> float:
-    """Deterministic utility of a shared alternative, error components excluded."""
-    if alt not in EHUB_ALTERNATIVES:
-        raise ValidationError(f"{alt.value} is not a shared hub alternative")
-    return _systematic_utility(alt, obs, persona, params, spec)
-
-
-def random_utility_offset(
-    alt: Alternative,
-    individual_draws: Sequence[float],
-    params: ParameterVector,
-    spec: ModelSpec,
-) -> float:
-    """Error-component offset for one individual, one alternative.
-
-    Draws are ordered like ``spec.error_components`` and held constant across
-    an individual's tasks (panel structure).
-    """
-    if len(individual_draws) != len(spec.error_components):
-        raise ValidationError(
-            f"expected {len(spec.error_components)} draws, got {len(individual_draws)}"
-        )
-    total = 0.0
-    for component, z in zip(spec.error_components, individual_draws):
-        if alt in component.alternatives:
-            total += abs(params[component.name]) * float(z)
-    return total

@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dataset import Individual, compile_individuals, split_params
 from .draws import standard_normal_mlhs
 from .model import (
     ALTERNATIVES,
@@ -26,8 +27,6 @@ from .model import (
     TaskObservation,
     TripContext,
     ValidationError,
-    systematic_utility_ehub,
-    systematic_utility_sq,
     validate_params,
 )
 
@@ -79,27 +78,16 @@ def scenario_probabilities(
     """
     validate_params(spec, params)
     _check_defined(scenario.persona, scenario.context, spec)
-    obs = scenario.task()
-    v = np.array(
-        [
-            systematic_utility_sq(obs, scenario.persona, params, spec),
-            systematic_utility_ehub(Alternative.SHARED_EV, obs, scenario.persona, params, spec),
-            systematic_utility_ehub(Alternative.SHARED_EBIKE, obs, scenario.persona, params, spec),
-        ]
-    )
-    n_comp = len(spec.error_components)
+    individual = Individual(individual_id=0, persona=scenario.persona, tasks=(scenario.task(),))
+    compiled = compile_individuals((individual,), spec)
+    beta, sigma = split_params(compiled, params)
+    v = compiled.design[0] @ beta  # the scenario task offers all three alternatives
+    n_comp = compiled.n_components
     if n_comp == 0:
         u = v[None, :]
     else:
         z = standard_normal_mlhs(1, scenario.n_draws, n_comp, scenario.seed).values[0]
-        loadings = np.zeros((3, n_comp))
-        sigmas = np.empty(n_comp)
-        for c, component in enumerate(spec.error_components):
-            sigmas[c] = abs(params[component.name])
-            for j, alt in enumerate(ALTERNATIVES):
-                if alt in component.alternatives:
-                    loadings[j, c] = 1.0
-        u = v[None, :] + z @ (loadings * sigmas).T
+        u = v[None, :] + z @ compiled.spread(sigma).T
     u -= u.max(axis=1, keepdims=True)
     np.exp(u, out=u)
     u /= u.sum(axis=1, keepdims=True)

@@ -1,6 +1,7 @@
 """Synthetic populations, reference trips, and choice responses.
 
-The generator mirrors the choice model: error components are drawn once
+The generator mirrors the choice model and takes its utilities from the
+same compiled arrays as the likelihood: error components are drawn once
 per individual, an independent extreme-value shock is added per task and
 alternative, and the available alternative with the highest total utility
 is recorded. Generated datasets double as the parameter-recovery oracle.
@@ -13,21 +14,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import ChoiceDataset, Individual
-from .designer import ReferenceTrip
+from . import presets
+from .dataset import ChoiceDataset, Individual, compile_individuals, split_params
+from .designer import ReferenceTrip, assign_tasks, build_commuting_tasks
 from .model import (
     ALTERNATIVES,
-    Alternative,
     CurrentMode,
+    DatasetKind,
     ModelSpec,
     ParameterVector,
     Persona,
     TaskObservation,
     ValidationError,
-    availability,
-    random_utility_offset,
-    systematic_utility_ehub,
-    systematic_utility_sq,
     validate_params,
 )
 
@@ -176,26 +174,50 @@ def simulate_choices(
     validate_params(spec, true_params)
     if len(personas) != len(task_sets):
         raise ValidationError("one task set per persona required")
+    unanswered = [
+        Individual(individual_id=i, persona=persona, tasks=tuple(tasks))
+        for i, (persona, tasks) in enumerate(zip(personas, task_sets))
+    ]
+    compiled = compile_individuals(unanswered, spec)
+    beta, sigma = split_params(compiled, true_params)
+    v = np.where(compiled.avail, compiled.design @ beta, -np.inf)
+    spread = compiled.spread(sigma)
     individuals = []
-    for i, (persona, tasks) in enumerate(zip(personas, task_sets)):
+    for i, ind in enumerate(unanswered):
         rng = _substream(seed, i)
-        z = rng.standard_normal(len(spec.error_components))
-        offsets = np.array(
-            [random_utility_offset(alt, z, true_params, spec) for alt in ALTERNATIVES]
-        )
+        offsets = spread @ rng.standard_normal(compiled.n_components)
+        start = compiled.obs_starts[i]
         answered = []
-        for obs in tasks:
-            total = np.full(3, -np.inf)
-            shocks = _gumbel(rng, 3)
-            for j, alt in enumerate(ALTERNATIVES):
-                if not (obs.availability[alt] and availability(obs, alt, persona)):
-                    continue
-                if alt is Alternative.STATUS_QUO:
-                    v = systematic_utility_sq(obs, persona, true_params, spec)
-                else:
-                    v = systematic_utility_ehub(alt, obs, persona, true_params, spec)
-                total[j] = v + offsets[j] + shocks[j]
-            chosen = ALTERNATIVES[int(np.argmax(total))]
-            answered.append(replace(obs, chosen=chosen))
-        individuals.append(Individual(individual_id=i, persona=persona, tasks=tuple(answered)))
+        for row, obs in enumerate(ind.tasks, start):
+            total = v[row] + offsets + _gumbel(rng, 3)
+            answered.append(replace(obs, chosen=ALTERNATIVES[int(np.argmax(total))]))
+        individuals.append(replace(ind, tasks=tuple(answered)))
     return ChoiceDataset(spec.kind, tuple(individuals))
+
+
+def synthesize_dataset(
+    kind: DatasetKind, n: int, seed: int, truth: ParameterVector
+) -> ChoiceDataset:
+    """Population, batteries, assignment, and simulated choices in one step."""
+    spec = presets.model_spec(kind)
+    marginals = presets.population_marginals(kind)
+    personas = sample_population(n, marginals, seed)
+    task_sets = []
+    if kind is DatasetKind.NONCOMMUTE:
+        batteries = {
+            mode: presets.noncommute_battery(mode)
+            for mode in (CurrentMode.CAR, CurrentMode.PUBLIC_TRANSPORT,
+                         CurrentMode.BIKE, CurrentMode.WALK)
+        }
+        for i, persona in enumerate(personas):
+            assign_seed = int(np.random.SeedSequence(seed, spawn_key=(1, i)).generate_state(1)[0])
+            task_sets.append(
+                assign_tasks(batteries[persona.modelled_mode()], kind, assign_seed)
+            )
+    else:
+        for i, persona in enumerate(personas):
+            trip_seed = int(np.random.SeedSequence(seed, spawn_key=(2, i)).generate_state(1)[0])
+            ref = sample_reference_trip(persona.modelled_mode(), trip_seed)
+            assign_seed = int(np.random.SeedSequence(seed, spawn_key=(3, i)).generate_state(1)[0])
+            task_sets.append(assign_tasks(build_commuting_tasks(ref), kind, assign_seed))
+    return simulate_choices(spec, truth, personas, task_sets, seed)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modeswitch import presets
-from modeswitch.dataset import ChoiceDataset, Individual
+from modeswitch.dataset import ChoiceDataset, Individual, compile_individuals, split_params
 from modeswitch.model import (
     AgeGroup,
     Alternative,
@@ -53,6 +53,14 @@ def make_task(sq_mode=CurrentMode.CAR, purpose=Purpose.LEISURE, distance=5.0,
         availability=avail,
         chosen=chosen,
     )
+
+
+def compiled_task(obs, who, params, spec):
+    """One task on the compiled path: utilities (sq, sev, seb), availability flags,
+    and the spread matrix whose row ``j`` times the draws is alternative j's offset."""
+    compiled = compile_individuals((Individual(individual_id=0, persona=who, tasks=(obs,)),), spec)
+    beta, sigma = split_params(compiled, params)
+    return compiled.design[0] @ beta, compiled.avail[0], compiled.spread(sigma)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from modeswitch import presets
-from modeswitch.cli import synthesize_dataset
+from modeswitch.synthesizer import synthesize_dataset
 from modeswitch.dataset import ChoiceDataset, Individual, compile_dataset
 from modeswitch.designer import orthogonal_array_27
 from modeswitch.draws import standard_normal_mlhs

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -249,6 +250,73 @@ class TestSimulateCommand:
              "--draws", 1000, "--out", out]
         )
         assert code == 0
+
+
+SCENARIO_FILE_DEFECTS = {
+    "bad mode in a cell": (
+        json.dumps({"cells": [{"mode": "car", "distance_km": 5},
+                              {"mode": "scooter", "distance_km": 5}]}),
+        "cell 1: ValueError: 'scooter' is not a valid CurrentMode",
+    ),
+    "not JSON": ("mode=car\n", "not valid JSON"),
+    "bad kind": (json.dumps({"kind": "x", "cells": []}), "'x' is not a valid DatasetKind"),
+}
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("defect", sorted(SCENARIO_FILE_DEFECTS))
+    def test_scenario_file_defect_names_file(self, defect, tmp_path, capsys):
+        text, message = SCENARIO_FILE_DEFECTS[defect]
+        path = tmp_path / "cells.json"
+        path.write_text(text)
+        assert run(["simulate", "--scenarios", path, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+
+    def test_config_file_not_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("{draws: 10}\n")
+        code = run(["simulate", "--config", path, "--draws", 100, "--out", tmp_path / "out"])
+        assert code == 2
+        assert f"{path}: not valid JSON" in capsys.readouterr().err
+
+
+# SHA-256 of outputs of the bundled presets: the synthesizer's draw order and
+# the scenario engine's arithmetic are pinned to these bytes
+PINNED_OUTPUTS = {
+    "synthesize noncommute": (
+        ["synthesize", "--individuals", 900, "--seed", 1, "--kind", "noncommute"],
+        "dataset.csv",
+        "7019e10225aa1c66a6c6c5ed93c21aa4f944a380f3c0afd148e03fbdb872db27",
+    ),
+    "synthesize commute": (
+        ["synthesize", "--individuals", 900, "--seed", 1, "--kind", "commute"],
+        "dataset.csv",
+        "e7ec08eecc1a2fd0f1307870ca00046ac7ae7d09f8b3dabaa338ce7f26c585f3",
+    ),
+    "simulate noncommute-grid": (
+        ["simulate", "--scenarios", "noncommute-grid"],
+        "shares.csv",
+        "f87e7cbfc986f7146e8154d63dae6fd2ada05e998603fc87b8bad30af27ec68c",
+    ),
+    "simulate commute-grid": (
+        ["simulate", "--scenarios", "commute-grid"],
+        "shares.csv",
+        "3c1c2b66f3352512f726cc5d75c05aab1600d321231eb664b3021b0a965c7753",
+    ),
+    "simulate car-policies": (
+        ["simulate", "--scenarios", "car-policies"],
+        "policies.csv",
+        "0ebee97fbe9fefac5c8bff9a912bfec4c06788346d0bd6148848382544994d96",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_pinned_output_bytes(name, tmp_path):
+    args, filename, digest = PINNED_OUTPUTS[name]
+    assert run(args + ["--out", tmp_path]) == 0
+    assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest
 
 
 class TestThreadDefaults:

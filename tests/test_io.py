@@ -2,6 +2,8 @@ import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from modeswitch import io as mio
 from modeswitch import presets
@@ -10,6 +12,7 @@ from modeswitch.designer import build_commuting_tasks, commuting_plan, Reference
 from modeswitch.estimator import EstimationSettings, estimate
 from modeswitch.model import CurrentMode, DatasetKind, ParameterVector, ValidationError
 from modeswitch.simulator import substitution_table
+from modeswitch.synthesizer import synthesize_dataset
 
 from conftest import tiny_dataset, tiny_spec
 
@@ -39,8 +42,6 @@ class TestDatasetRoundTrip:
                 assert ta.attributes == tb.attributes
 
     def test_synthesized_noncommute_round_trip(self, tmp_path):
-        from modeswitch.cli import synthesize_dataset
-
         truth = presets.bundled_estimates(DatasetKind.NONCOMMUTE)
         ds = synthesize_dataset(DatasetKind.NONCOMMUTE, 15, 3, truth)
         path = tmp_path / "nc.csv"
@@ -114,6 +115,57 @@ class TestStrictLoading:
         path.write_text("")
         with pytest.raises(ValidationError, match="unexpected parameter header"):
             mio.load_params(path)
+
+
+FIELD_VALUES = st.one_of(
+    st.sampled_from(
+        ["", "0", "1", "2", "-1", "0.5", "-0.0", "1e999", "nan", "inf", "car", "scooter",
+         "sq", "sev", "commute", "leisure", "le35", "missing", "True"]
+    ),
+    st.text(max_size=6),
+)
+
+
+@pytest.fixture(scope="module")
+def saved_panels(tmp_path_factory):
+    """Lines of one saved synthetic panel per dataset kind."""
+    folder = tmp_path_factory.mktemp("panels")
+    panels = {}
+    for kind in DatasetKind:
+        path = folder / f"{kind.value}.csv"
+        mio.save_dataset(synthesize_dataset(kind, 3, 11, presets.bundled_estimates(kind)), path)
+        panels[kind] = path.read_text(encoding="utf-8").splitlines()
+    return folder, panels
+
+
+class TestDatasetFileProperties:
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(list(DatasetKind)), n=st.integers(1, 4), seed=st.integers(0, 999))
+    def test_saved_file_round_trips_byte_for_byte(self, kind, n, seed, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        mio.save_dataset(synthesize_dataset(kind, n, seed, presets.bundled_estimates(kind)), first)
+        mio.save_dataset(mio.load_dataset(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(list(DatasetKind)), data=st.data(), value=FIELD_VALUES)
+    def test_single_field_mutation_loads_or_raises_validation_error(
+        self, kind, data, value, saved_panels
+    ):
+        folder, panels = saved_panels
+        lines = list(panels[kind])
+        number = data.draw(st.integers(0, len(lines) - 1), label="line index")
+        fields = lines[number].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1), label="field index")] = value
+        lines[number] = ",".join(fields)
+        path = folder / "mutated.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            mio.load_dataset(path)
+        except ValidationError:
+            pass
 
 
 class TestParamsRoundTrip:

@@ -366,7 +366,7 @@ class TestHessian:
     def test_matches_finite_differences_on_bundled_spec(
         self, noncommute_spec, noncommute_estimates
     ):
-        from modeswitch.cli import synthesize_dataset
+        from modeswitch.synthesizer import synthesize_dataset
 
         ds = synthesize_dataset(DatasetKind.NONCOMMUTE, 40, 6, noncommute_estimates)
         compiled = compile_dataset(ds, noncommute_spec)

@@ -15,12 +15,21 @@ from modeswitch.model import (
     ValidationError,
     availability,
     build_congestion_covariate,
-    random_utility_offset,
-    systematic_utility_ehub,
-    systematic_utility_sq,
 )
 
-from conftest import SEB, SEV, SQ, make_task, persona
+from conftest import SEB, SEV, SQ, compiled_task, make_task, persona
+
+J_SQ, J_SEV, J_SEB = 0, 1, 2  # columns of the compiled arrays, in ALTERNATIVES order
+
+
+def utility(obs, who, params, spec):
+    return compiled_task(obs, who, params, spec)[0]
+
+
+def offsets(draws, params, spec, obs=None):
+    """Error-component offsets (sq, sev, seb) for one individual's draws."""
+    spread = compiled_task(obs or make_task(), persona(), params, spec)[2]
+    return spread @ np.asarray(draws, dtype=float)
 
 
 class TestStatusQuoUtility:
@@ -29,7 +38,7 @@ class TestStatusQuoUtility:
             {name: 0.0 for name in noncommute_estimates.names}
         )
         obs = make_task(attributes={SQ: AttributeBundle(travel_time_min=20, travel_cost_eur=2)})
-        assert systematic_utility_sq(obs, persona(), zeros, noncommute_spec) == 0.0
+        assert utility(obs, persona(), zeros, noncommute_spec)[J_SQ] == 0.0
 
     def test_pt_user_time_and_cost(self, noncommute_spec, noncommute_estimates):
         obs = make_task(
@@ -37,7 +46,7 @@ class TestStatusQuoUtility:
             attributes={SQ: AttributeBundle(travel_time_min=15, travel_cost_eur=1.5)},
         )
         p = persona(mode=CurrentMode.PUBLIC_TRANSPORT)
-        value = systematic_utility_sq(obs, p, noncommute_estimates, noncommute_spec)
+        value = utility(obs, p, noncommute_estimates, noncommute_spec)[J_SQ]
         assert value == pytest.approx(-0.06 * 15 - 0.39 * 1.5, abs=1e-12)
         assert value == pytest.approx(-1.485, abs=1e-9)
 
@@ -45,22 +54,22 @@ class TestStatusQuoUtility:
         obs = make_task(
             attributes={SQ: AttributeBundle(parking_fee_eur=3, parking_search_time_min=5)}
         )
-        value = systematic_utility_sq(obs, persona(), noncommute_estimates, noncommute_spec)
+        value = utility(obs, persona(), noncommute_estimates, noncommute_spec)[J_SQ]
         assert value == pytest.approx(-0.08 * 3 - 0.04 * 5, abs=1e-12)
         assert value == pytest.approx(-0.44, abs=1e-9)
 
     def test_unavailable_status_quo_rejected(self, noncommute_spec, noncommute_estimates):
         obs = make_task(sq_mode=CurrentMode.CAR)
-        with pytest.raises(ValidationError):
-            systematic_utility_sq(
-                obs, persona(mode=CurrentMode.BIKE), noncommute_estimates, noncommute_spec
-            )
+        _, avail, _ = compiled_task(
+            obs, persona(mode=CurrentMode.BIKE), noncommute_estimates, noncommute_spec
+        )
+        assert avail.tolist() == [False, True, True]
 
     def test_unresolved_coefficient_is_specification_error(self, noncommute_spec):
         incomplete = ParameterVector({"asc_sev": -1.0})
         obs = make_task(attributes={SQ: AttributeBundle(travel_time_min=10)})
         with pytest.raises(SpecificationError):
-            systematic_utility_sq(obs, persona(), incomplete, noncommute_spec)
+            utility(obs, persona(), incomplete, noncommute_spec)
 
     def test_negative_attribute_rejected_at_construction(self):
         with pytest.raises(ValidationError):
@@ -73,7 +82,7 @@ class TestSharedUtility:
             {name: 0.0 for name in noncommute_estimates.names}
         )
         obs = make_task(attributes={SEV: AttributeBundle(travel_time_min=10)})
-        assert systematic_utility_ehub(SEV, obs, persona(), zeros, noncommute_spec) == 0.0
+        assert utility(obs, persona(), zeros, noncommute_spec)[J_SEV] == 0.0
 
     def test_sev_car_user_leisure(self, noncommute_spec, noncommute_estimates):
         obs = make_task(
@@ -85,7 +94,7 @@ class TestSharedUtility:
                 )
             }
         )
-        value = systematic_utility_ehub(SEV, obs, persona(), noncommute_estimates, noncommute_spec)
+        value = utility(obs, persona(), noncommute_estimates, noncommute_spec)[J_SEV]
         # constant, age shifter, time, cost, access
         assert value == pytest.approx(-4.33 + 1.45 - 0.6 + 0.05 - 0.4, abs=1e-9)
         assert value == pytest.approx(-3.83, abs=1e-9)
@@ -99,12 +108,8 @@ class TestSharedUtility:
                             attributes={SEB: bundle})
         shopping = make_task(sq_mode=CurrentMode.BIKE, purpose=Purpose.SHOPPING,
                              attributes={SEB: bundle})
-        v_leisure = systematic_utility_ehub(
-            SEB, leisure, base_persona, noncommute_estimates, noncommute_spec
-        )
-        v_shopping = systematic_utility_ehub(
-            SEB, shopping, base_persona, noncommute_estimates, noncommute_spec
-        )
+        v_leisure = utility(leisure, base_persona, noncommute_estimates, noncommute_spec)[J_SEB]
+        v_shopping = utility(shopping, base_persona, noncommute_estimates, noncommute_spec)[J_SEB]
         attribute_part = 0.02 * 12 - 0.47 * 1.0 - 0.03 * 10
         assert v_leisure == pytest.approx(-3.47 - 1.68 + attribute_part, abs=1e-9)
         assert v_shopping - v_leisure == pytest.approx(-0.18, abs=1e-12)
@@ -113,8 +118,8 @@ class TestSharedUtility:
         p = persona(mode=CurrentMode.WALK, age=AgeGroup.MID, education=False)
         at2 = make_task(sq_mode=CurrentMode.WALK, distance=2.0)
         at5 = make_task(sq_mode=CurrentMode.WALK, distance=5.0)
-        v2 = systematic_utility_ehub(SEV, at2, p, noncommute_estimates, noncommute_spec)
-        v5 = systematic_utility_ehub(SEV, at5, p, noncommute_estimates, noncommute_spec)
+        v2 = utility(at2, p, noncommute_estimates, noncommute_spec)[J_SEV]
+        v5 = utility(at5, p, noncommute_estimates, noncommute_spec)[J_SEV]
         assert v2 == pytest.approx(-4.33 - 0.56)
         assert v5 == pytest.approx(-4.33 + 0.86)
 
@@ -122,13 +127,9 @@ class TestSharedUtility:
         low = persona(income=IncomeBand.LOW)
         missing = persona(income=IncomeBand.MISSING)
         obs = make_task()
-        v_low = systematic_utility_ehub(SEB, obs, low, noncommute_estimates, noncommute_spec)
-        v_missing = systematic_utility_ehub(SEB, obs, missing, noncommute_estimates, noncommute_spec)
+        v_low = utility(obs, low, noncommute_estimates, noncommute_spec)[J_SEB]
+        v_missing = utility(obs, missing, noncommute_estimates, noncommute_spec)[J_SEB]
         assert v_low - v_missing == pytest.approx(0.48)
-
-    def test_status_quo_is_not_a_shared_alternative(self, noncommute_spec, noncommute_estimates):
-        with pytest.raises(ValidationError):
-            systematic_utility_ehub(SQ, make_task(), persona(), noncommute_estimates, noncommute_spec)
 
 
 class TestRandomOffset:
@@ -136,26 +137,22 @@ class TestRandomOffset:
         zeroed = noncommute_estimates.with_values(
             {"sigma_shared": 0.0, "sigma_sev": 0.0, "sigma_seb": 0.0}
         )
-        for alt in (SQ, SEV, SEB):
-            assert random_utility_offset(alt, [1.0, 1.0, 1.0], zeroed, noncommute_spec) == 0.0
+        assert offsets([1.0, 1.0, 1.0], zeroed, noncommute_spec).tolist() == [0.0, 0.0, 0.0]
 
     def test_sev_offset_composition(self, noncommute_spec, noncommute_estimates):
         # component order: shared, sev, seb
-        value = random_utility_offset(SEV, [1.0, 1.0, 0.0], noncommute_estimates, noncommute_spec)
+        value = offsets([1.0, 1.0, 0.0], noncommute_estimates, noncommute_spec)[J_SEV]
         assert value == pytest.approx(1.64 + 1.28, abs=1e-12)
         assert value == pytest.approx(2.92, abs=1e-9)
 
     def test_negative_sigma_taken_absolute(self, commute_spec, commute_estimates):
         assert commute_estimates["sigma_sev"] == -1.11
-        value = random_utility_offset(SEV, [0.0, 1.0, 0.0], commute_estimates, commute_spec)
+        commute_task = make_task(purpose=Purpose.COMMUTE)
+        value = offsets([0.0, 1.0, 0.0], commute_estimates, commute_spec, commute_task)[J_SEV]
         assert value == pytest.approx(1.11)
 
     def test_status_quo_never_receives_offset(self, noncommute_spec, noncommute_estimates):
-        assert random_utility_offset(SQ, [3.0, -2.0, 1.0], noncommute_estimates, noncommute_spec) == 0.0
-
-    def test_dimension_mismatch(self, noncommute_spec, noncommute_estimates):
-        with pytest.raises(ValidationError):
-            random_utility_offset(SEV, [1.0, 1.0], noncommute_estimates, noncommute_spec)
+        assert offsets([3.0, -2.0, 1.0], noncommute_estimates, noncommute_spec)[J_SQ] == 0.0
 
 
 class TestCongestionCovariate:
@@ -205,19 +202,15 @@ class TestInvariants:
         )
         p = persona()
         scaled = noncommute_estimates.scaled(factor)
-        for alt in (SEV, SEB):
-            base = systematic_utility_ehub(alt, obs, p, noncommute_estimates, noncommute_spec)
-            assert systematic_utility_ehub(alt, obs, p, scaled, noncommute_spec) == pytest.approx(
-                factor * base, abs=1e-9
-            )
-        base_sq = systematic_utility_sq(obs, p, noncommute_estimates, noncommute_spec)
-        assert systematic_utility_sq(obs, p, scaled, noncommute_spec) == pytest.approx(
-            factor * base_sq, abs=1e-9
+        base = utility(obs, p, noncommute_estimates, noncommute_spec)
+        np.testing.assert_allclose(
+            utility(obs, p, scaled, noncommute_spec), factor * base, rtol=0, atol=1e-9
         )
-        offset = random_utility_offset(SEV, [1.0, -0.5, 0.2], noncommute_estimates, noncommute_spec)
-        assert random_utility_offset(
-            SEV, [1.0, -0.5, 0.2], scaled, noncommute_spec
-        ) == pytest.approx(abs(factor) * offset, abs=1e-9)
+        draws = [1.0, -0.5, 0.2]
+        offset = offsets(draws, noncommute_estimates, noncommute_spec)[J_SEV]
+        assert offsets(draws, scaled, noncommute_spec)[J_SEV] == pytest.approx(
+            abs(factor) * offset, abs=1e-9
+        )
 
     def test_every_table_row_resolves_once(self, noncommute_spec, noncommute_estimates):
         assert set(noncommute_spec.coefficient_names) == set(noncommute_estimates.names)

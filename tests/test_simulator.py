@@ -19,7 +19,7 @@ from modeswitch.simulator import (
     substitution_table,
 )
 
-from conftest import SEB, SEV, SQ, persona
+from conftest import SEB, SEV, SQ, compiled_task, persona
 
 
 def plain_scenario(spec, seed=0, n_draws=5000, **bundle_overrides):
@@ -92,17 +92,10 @@ class TestScenarioProbabilities:
         scenario = presets.base_scenario(CurrentMode.CAR, 5.0, seed=3, n_draws=11)
         got = scenario_probabilities(scenario, frozen, noncommute_spec)
         from modeswitch.likelihood import task_choice_prob
-        from modeswitch.model import systematic_utility_ehub, systematic_utility_sq
 
-        obs = scenario.task()
-        v = np.array(
-            [
-                systematic_utility_sq(obs, scenario.persona, frozen, noncommute_spec),
-                systematic_utility_ehub(SEV, obs, scenario.persona, frozen, noncommute_spec),
-                systematic_utility_ehub(SEB, obs, scenario.persona, frozen, noncommute_spec),
-            ]
-        )
-        np.testing.assert_allclose(got, task_choice_prob(v, np.ones(3, dtype=bool)), atol=1e-12)
+        v, avail, _ = compiled_task(scenario.task(), scenario.persona, frozen, noncommute_spec)
+        assert avail.all()
+        np.testing.assert_allclose(got, task_choice_prob(v, avail), atol=1e-12)
 
     def test_cost_monotonicity(self, noncommute_spec, noncommute_estimates):
         base = presets.base_scenario(CurrentMode.PUBLIC_TRANSPORT, 5.0, seed=2, n_draws=20_000)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modeswitch.dataset import Individual, compile_dataset, compile_individuals
 from modeswitch.designer import assign_tasks, build_noncommuting_tasks
 from modeswitch.model import (
     AgeGroup,
@@ -179,3 +180,21 @@ class TestSimulateChoices:
     def test_mismatched_lengths_rejected(self, noncommute_spec, noncommute_estimates):
         with pytest.raises(ValidationError):
             simulate_choices(noncommute_spec, noncommute_estimates, [persona()], [], seed=0)
+
+    def test_unanswered_tasks_compile_like_answered(self, noncommute_spec, noncommute_estimates):
+        personas = [persona(), persona(mode=CurrentMode.WALK)]
+        sets = [
+            build_noncommuting_tasks(5.0, Purpose.LEISURE, CurrentMode.CAR)[:2],
+            one_cell_tasks(1, CurrentMode.WALK)[0],
+        ]
+        ds = simulate_choices(noncommute_spec, noncommute_estimates, personas, sets, seed=4)
+        answered = compile_dataset(ds, noncommute_spec)
+        unanswered = compile_individuals(
+            [Individual(i, p, tuple(tasks)) for i, (p, tasks) in enumerate(zip(personas, sets))],
+            noncommute_spec,
+        )
+        np.testing.assert_array_equal(unanswered.design, answered.design)
+        np.testing.assert_array_equal(unanswered.avail, answered.avail)
+        np.testing.assert_array_equal(unanswered.obs_starts, answered.obs_starts)
+        assert unanswered.chosen.tolist() == [-1, -1, -1]
+        assert (answered.chosen >= 0).all()
