@@ -79,8 +79,31 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     return config
 
 
-def _out_dir(config: dict) -> Path:
-    out = Path(config.get("out", "out"))
+def _config_reader(args: argparse.Namespace, config: dict):
+    """``get(key, convert[, default])``: ``convert`` applied to a merged config value.
+
+    Flags arrive typed by argparse, so a value that fails to convert came
+    from the --config file; the ValidationError names that file and the key.
+    """
+
+    def get(key: str, convert, *default):
+        value = config.get(key, *default) if default else config[key]
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{args.config}: {key}: {type(exc).__name__}: {exc}") from None
+
+    return get
+
+
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _out_dir(config: dict, get) -> Path:
+    out = get("out", Path, "out")
     out.mkdir(parents=True, exist_ok=True)
     config["out"] = str(out)
     return out
@@ -92,21 +115,22 @@ def _config_echo(config: dict) -> dict:
 
 def cmd_design(args: argparse.Namespace) -> int:
     config = _merge_config(args, {"seed": 0, "kind": "noncommute"})
-    out = _out_dir(config)
-    kind = DatasetKind(config["kind"])
-    mode = CurrentMode(config["mode"])
-    distance = float(config["distance"])
+    get = _config_reader(args, config)
+    out = _out_dir(config, get)
+    kind = get("kind", DatasetKind)
+    mode = get("mode", CurrentMode)
+    distance = get("distance", float)
     if kind is DatasetKind.COMMUTE:
         ref = ReferenceTrip(
             mode=mode,
             distance_km=distance,
-            travel_time_min=float(config["travel_time"]),
-            travel_cost_eur=float(config.get("travel_cost", 0.0)),
-            access_egress_time_min=float(config.get("access_time", 0.0)),
-            congestion_chance=float(config.get("congestion_chance", 0.0)),
-            congestion_time_min=float(config.get("congestion_time", 0.0)),
-            parking_search_time_min=float(config.get("parking_search", 0.0)),
-            parking_fee_eur=float(config.get("parking_fee", 0.0)),
+            travel_time_min=get("travel_time", float),
+            travel_cost_eur=get("travel_cost", float, 0.0),
+            access_egress_time_min=get("access_time", float, 0.0),
+            congestion_chance=get("congestion_chance", float, 0.0),
+            congestion_time_min=get("congestion_time", float, 0.0),
+            parking_search_time_min=get("parking_search", float, 0.0),
+            parking_fee_eur=get("parking_fee", float, 0.0),
         )
         tasks = build_commuting_tasks(ref)
         plan = commuting_plan(ref)
@@ -115,7 +139,7 @@ def cmd_design(args: argparse.Namespace) -> int:
             f"status quo fixed at the reported values"
         )
     else:
-        purpose = Purpose(config.get("purpose", "leisure"))
+        purpose = get("purpose", Purpose, "leisure")
         tasks = build_noncommuting_tasks(distance, purpose, mode)
         plan = noncommuting_plan(distance, mode)
         note = f"non-commuting battery: {mode.value} user, {distance:g} km, {purpose.value}"
@@ -130,14 +154,15 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     config = _merge_config(
         args, {"seed": 0, "kind": "noncommute", "individuals": 100}
     )
-    out = _out_dir(config)
-    kind = DatasetKind(config["kind"])
-    n = int(config["individuals"])
+    get = _config_reader(args, config)
+    out = _out_dir(config, get)
+    kind = get("kind", DatasetKind)
+    n = get("individuals", int)
     if n < 1:
         raise ValidationError("need at least one individual")
-    seed = int(config["seed"])
+    seed = get("seed", int)
     if "params" in config:
-        truth = mio.load_params(config["params"])
+        truth = mio.load_params(get("params", Path))
     else:
         truth = presets.bundled_estimates(kind)
     dataset = synthesize_dataset(kind, n, seed, truth)
@@ -155,21 +180,22 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     config = _merge_config(
         args, {"seed": 0, "draws": 1000, "threads": _default_threads()}
     )
-    out = _out_dir(config)
-    dataset = mio.load_dataset(config["data"])
-    if "spec_file" in config and config["spec_file"]:
-        spec = specfile.load_spec(config["spec_file"])
-    else:
-        spec = presets.model_spec(config.get("kind", dataset.kind))
-    start = mio.load_params(config["start"]) if config.get("start") else None
+    get = _config_reader(args, config)
+    out = _out_dir(config, get)
     settings = EstimationSettings(
-        n_draws=int(config["draws"]),
-        seed=int(config["seed"]),
-        threads=int(config["threads"]),
-        max_iterations=int(config.get("max_iterations", 500)),
-        gradient_tolerance=float(config.get("gradient_tolerance", 1e-5)),
-        compute_std_errors=not config.get("no_std_errors", False),
+        n_draws=get("draws", int),
+        seed=get("seed", int),
+        threads=get("threads", int),
+        max_iterations=get("max_iterations", int, 500),
+        gradient_tolerance=get("gradient_tolerance", float, 1e-5),
+        compute_std_errors=not get("no_std_errors", _json_bool, False),
     )
+    dataset = mio.load_dataset(get("data", Path))
+    if "spec_file" in config and config["spec_file"]:
+        spec = specfile.load_spec(get("spec_file", Path))
+    else:
+        spec = presets.model_spec(get("kind", DatasetKind, dataset.kind))
+    start = mio.load_params(get("start", Path)) if config.get("start") else None
     result = estimate(dataset, spec, start=start, settings=settings)
     mio.save_results(result, spec, out)
     inputs = [config["data"]]
@@ -215,9 +241,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _merge_config(
         args, {"seed": 0, "draws": 100_000, "scenarios": "noncommute-grid"}
     )
-    out = _out_dir(config)
-    seed = int(config["seed"])
-    n_draws = int(config["draws"])
+    get = _config_reader(args, config)
+    out = _out_dir(config, get)
+    seed = get("seed", int)
+    n_draws = get("draws", int)
     source = str(config["scenarios"])
 
     inputs = []
@@ -232,8 +259,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if not isinstance(payload, dict):
             raise ValidationError(f"{source}: scenario file must hold a JSON object")
         inputs.append(source)
+        default_kind = get("kind", DatasetKind, "noncommute")
         try:
-            kind = DatasetKind(payload.get("kind", config.get("kind", "noncommute")))
+            kind = DatasetKind(payload.get("kind", default_kind))
             seed = int(payload.get("seed", seed))
             n_draws = int(payload.get("n_draws", n_draws))
         except (TypeError, ValueError) as exc:
@@ -241,7 +269,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = presets.model_spec(kind)
 
     if config.get("params"):
-        params = mio.load_params(config["params"])
+        params = mio.load_params(get("params", Path))
         inputs.append(config["params"])
     else:
         params = presets.bundled_estimates(kind)
@@ -290,13 +318,14 @@ def _write_policies(scenarios, params, spec, out) -> None:
 
 def cmd_vot(args: argparse.Namespace) -> int:
     config = _merge_config(args, {})
+    get = _config_reader(args, config)
     if config.get("params"):
-        params = mio.load_params(config["params"])
-        time_coeff = params[config["time_name"]]
-        cost_coeff = params[config["cost_name"]]
+        params = mio.load_params(get("params", Path))
+        time_coeff = params[get("time_name", str)]
+        cost_coeff = params[get("cost_name", str)]
     else:
-        time_coeff = float(config["time_coeff"])
-        cost_coeff = float(config["cost_coeff"])
+        time_coeff = get("time_coeff", float)
+        cost_coeff = get("cost_coeff", float)
     value = vot(time_coeff, cost_coeff)
     print(f"{value:.1f} euro/hour")
     return 0

@@ -43,6 +43,20 @@ class Individual:
             raise ValidationError("individual ids must be non-negative")
 
 
+class PanelError(ValidationError):
+    """A dataset invariant broken by one individual, or by one of its tasks.
+
+    ``individual`` is the position in the dataset and ``task`` the position
+    among that individual's tasks (None when the individual as a whole is at
+    fault), so a loader can point at the offending line of its file.
+    """
+
+    def __init__(self, message: str, individual: int, task: int | None = None):
+        super().__init__(message)
+        self.individual = individual
+        self.task = task
+
+
 @dataclass(frozen=True)
 class ChoiceDataset:
     kind: DatasetKind
@@ -50,25 +64,29 @@ class ChoiceDataset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "individuals", tuple(self.individuals))
-        ids = [ind.individual_id for ind in self.individuals]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate individual ids")
-        for ind in self.individuals:
+        seen = set()
+        for n, ind in enumerate(self.individuals):
+            if ind.individual_id in seen:
+                raise PanelError(f"duplicate individual id {ind.individual_id}", n)
+            seen.add(ind.individual_id)
             mode = ind.persona.modelled_mode()
             if self.kind is DatasetKind.COMMUTE and mode not in COMMUTE_MODES:
-                raise ValidationError(
-                    f"individual {ind.individual_id}: commuting data covers car and bike users only"
+                raise PanelError(
+                    f"individual {ind.individual_id}: commuting data covers car and bike users only",
+                    n,
                 )
-            for obs in ind.tasks:
+            for t, obs in enumerate(ind.tasks):
                 is_commute = obs.context.purpose is Purpose.COMMUTE
                 if is_commute != (self.kind is DatasetKind.COMMUTE):
-                    raise ValidationError(
+                    raise PanelError(
                         f"individual {ind.individual_id}: task {obs.task_id} purpose does not "
-                        f"match dataset kind {self.kind.value}"
+                        f"match dataset kind {self.kind.value}",
+                        n, t,
                     )
                 if obs.chosen is None:
-                    raise ValidationError(
-                        f"individual {ind.individual_id}: task {obs.task_id} has no recorded choice"
+                    raise PanelError(
+                        f"individual {ind.individual_id}: task {obs.task_id} has no recorded choice",
+                        n, t,
                     )
 
     @property

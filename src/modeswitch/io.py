@@ -17,7 +17,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import ChoiceDataset, Individual
+from .dataset import ChoiceDataset, Individual, PanelError
 from .estimator import EstimationResult
 from .model import (
     ALTERNATIVES,
@@ -134,31 +134,43 @@ def _numbered_rows(path):
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         if tuple(next(reader, ())) != DATASET_COLUMNS:
-            raise ValidationError(f"unexpected dataset header in {path}")
+            raise ValidationError(f"{path}:1: unexpected dataset header")
         for row in reader:
             yield reader.line_num, row
 
 
 def load_dataset(path) -> ChoiceDataset:
-    """Read a long-format dataset; a malformed row raises ``ValidationError("path:line: ...")``."""
+    """Read a long-format dataset.
+
+    Every defect raises ``ValidationError("path:line: ...")``: a malformed
+    row names its own line, a defective task or individual the line of its
+    first row.
+    """
     individuals: list[Individual] = []
+    task_lines: list[list[int]] = []  # first line of each task, per individual
     current: dict | None = None
 
     def flush(state) -> None:
-        tasks = tuple(
-            TaskObservation(
-                task_id=t["task_id"],
-                context=t["context"],
-                sq_mode=t["sq_mode"],
-                attributes=t["attrs"],
-                availability=t["avail"],
-                chosen=t["chosen"],
+        tasks = []
+        for t in state["tasks"]:
+            try:
+                tasks.append(TaskObservation(
+                    task_id=t["task_id"],
+                    context=t["context"],
+                    sq_mode=t["sq_mode"],
+                    attributes=t["attrs"],
+                    availability=t["avail"],
+                    chosen=t["chosen"],
+                ))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{t['line']}: task {t['task_id']}: {exc}") from None
+        try:
+            individuals.append(
+                Individual(individual_id=state["id"], persona=state["persona"], tasks=tasks)
             )
-            for t in state["tasks"]
-        )
-        individuals.append(
-            Individual(individual_id=state["id"], persona=state["persona"], tasks=tasks)
-        )
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{state['tasks'][0]['line']}: {exc}") from None
+        task_lines.append([t["line"] for t in state["tasks"]])
 
     for line, row in _numbered_rows(path):
         where = f"{path}:{line}"
@@ -180,6 +192,7 @@ def load_dataset(path) -> ChoiceDataset:
             tasks.append(
                 {
                     "task_id": task_id,
+                    "line": line,
                     "context": context,
                     "sq_mode": persona.current_mode,
                     "attrs": {},
@@ -201,14 +214,18 @@ def load_dataset(path) -> ChoiceDataset:
         if chosen:
             task["chosen"] = alt
     if current is None:
-        raise ValidationError(f"dataset {path} has no data rows")
+        raise ValidationError(f"{path}:1: no data rows below the header")
     flush(current)
 
     purposes = {obs.context.purpose for ind in individuals for obs in ind.tasks}
     kind = (
         DatasetKind.COMMUTE if purposes == {Purpose.COMMUTE} else DatasetKind.NONCOMMUTE
     )
-    return ChoiceDataset(kind, tuple(individuals))
+    try:
+        return ChoiceDataset(kind, tuple(individuals))
+    except PanelError as exc:
+        lines = task_lines[exc.individual]
+        raise ValidationError(f"{path}:{lines[exc.task or 0]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +247,7 @@ def load_params(path) -> ParameterVector:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["name", "value", "fixed"]:
-            raise ValidationError(f"unexpected parameter header in {path}")
+            raise ValidationError(f"{path}:1: unexpected parameter header")
         for row in reader:
             try:
                 name, value, flag = row

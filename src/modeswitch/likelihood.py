@@ -6,6 +6,15 @@ parameter once draws are fixed, which gives the gradient and the Hessian
 in closed form.
 The same draw matrix is reused for every evaluation within a run (common
 random numbers), so the simulated objective is smooth.
+
+One probability kernel serves estimation and scenario simulation. It is
+alternative-major: each alternative's utility is its own contiguous
+(observation, draw) plane (``utility_planes``), so the softmax's maximum
+and sum are element-wise operations across three planes
+(``softmax_planes``). The likelihood stays in the log domain: ln p of a
+chosen alternative is (u - m) - ln sum_j exp(u_j - m) with m the largest
+utility, and ln P_n is a log-sum-exp over draws, so long panels or extreme
+parameters do not underflow into a zero probability.
 """
 
 from __future__ import annotations
@@ -70,21 +79,63 @@ def rho_square(final_ll: float, null_ll: float) -> float:
     return 1.0 - final_ll / null_ll
 
 
+def utility_planes(v: np.ndarray, spread: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Utilities as one contiguous (observation, draw) plane per alternative.
+
+    ``v`` (n_obs, 3) holds the systematic utilities, -inf for an unavailable
+    alternative, and ``z`` (component, n_obs, n_draws) the error-component
+    draws. Returns (3, n_obs, n_draws); alternative j's plane adds
+    spread[j, c] z[c] only for the components with a non-zero spread on j,
+    so a plane without error components is v alone.
+    """
+    u = np.empty((3,) + z.shape[1:])
+    term = np.empty(z.shape[1:])
+    for j in range(3):
+        u[j] = v[:, j, None]
+        for c in np.flatnonzero(spread[j]):
+            np.multiply(z[c], spread[j, c], out=term)
+            u[j] += term
+    return u
+
+
+def softmax_planes(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Turn utility planes ``u`` (3, ...) into choice probabilities, in place.
+
+    The planes are shifted by their element-wise maximum m, so no
+    exponential overflows. Returns (m, s) with s = sum_j exp(u_j - m) >= 1:
+    ln p_j = (u_j - m) - ln s stays finite where p_j underflows to zero.
+    """
+    m = np.maximum(np.maximum(u[0], u[1]), u[2])
+    u -= m
+    np.exp(u, out=u)
+    s = u[0] + u[1] + u[2]
+    u /= s
+    return m, s
+
+
 class ZeroProbabilityError(ValidationError):
+    """An individual's simulated ln P_n is not finite: a probability that is
+    zero or undefined in floating point, as when a utility overflows."""
+
     def __init__(self, individual_id: int):
         self.individual_id = individual_id
         super().__init__(
-            f"individual {individual_id} has zero simulated probability; "
+            f"individual {individual_id} has a zero or undefined simulated probability; "
             f"the likelihood is undefined at these parameters"
         )
 
 
 class EvaluationContext:
-    """Precomputed tensors binding compiled data to one draw matrix.
+    """Precomputed draw planes binding compiled data to one draw matrix.
 
-    Holding the per-observation draw view (``z_obs``) costs memory
-    proportional to n_obs x n_draws x n_components but saves a gather on
-    every likelihood evaluation, which dominates estimation runtime.
+    ``z_obs`` holds each observation's panel draws as (component, obs,
+    draw), n_components x n_obs x n_draws values, so every likelihood
+    evaluation reads each component's plane directly instead of gathering
+    draws per individual. Probabilities are kept between the log-likelihood
+    and the gradient as one (alternative, obs, draw) array per draw block
+    while that stays under ``_P_CACHE_BYTES``, and recomputed otherwise.
+    Everything is in the log domain until the draw weights, which are
+    formed from ln of the per-draw panel products minus their maximum.
     Draw blocks are processed in a fixed order (optionally on a thread
     pool) and reduced sequentially, so repeated evaluations are
     bit-identical.
@@ -111,8 +162,10 @@ class EvaluationContext:
         self.n_draws = draws.n_draws
         self.draw_block = max(1, int(draw_block))
         self.threads = max(1, int(threads))
-        # (n_obs, n_draws, n_components) view of the panel draws
-        self.z_obs = np.ascontiguousarray(draws.values[compiled.obs_individual])
+        # built one component at a time, so no second copy of the draws is held
+        self.z_obs = np.empty((compiled.n_components, compiled.n_obs, self.n_draws))
+        for c in range(compiled.n_components):
+            self.z_obs[c] = draws.values[compiled.obs_individual, :, c]
         self.onehot = np.zeros((compiled.n_obs, 3))
         self._rows = np.arange(compiled.n_obs)
         self.onehot[self._rows, compiled.chosen] = 1.0
@@ -131,109 +184,91 @@ class EvaluationContext:
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             return list(pool.map(lambda b: func(*b), self._blocks))
 
-    def _chunk_probs(self, v: np.ndarray, spread: np.ndarray, start: int, stop: int):
-        """Choice probabilities (n_obs, D, 3) for one draw block."""
-        z = self.z_obs[:, start:stop, :]
-        n_obs, depth, n_comp = z.shape
-        if n_comp:
-            u = (z.reshape(-1, n_comp) @ spread.T).reshape(n_obs, depth, 3)
-            u += (v + self.neg_inf_pad)[:, None, :]
-        else:
-            u = np.broadcast_to((v + self.neg_inf_pad)[:, None, :], (n_obs, depth, 3)).copy()
-        u -= np.max(u, axis=2, keepdims=True)
-        np.exp(u, out=u)
-        u /= u.sum(axis=2, keepdims=True)
-        return u
-
-    def _panel_matrix(self, v, spread, keep_probs: bool):
-        """Per-(individual, draw) products of task probabilities.
-
-        Returns (panel, prob_chunks); prob_chunks is None unless requested
-        and small enough to hold.
-        """
-        compiled = self.compiled
-        panel = np.empty((compiled.n_individuals, self.n_draws))
-        keep = keep_probs and self._cache_probs
-
-        def work(start, stop):
-            p = self._chunk_probs(v, spread, start, stop)
-            p_chosen = p[self._rows, :, compiled.chosen]
-            with np.errstate(divide="ignore"):
-                logp = np.log(p_chosen)
-            block_panel = np.exp(np.add.reduceat(logp, compiled.obs_starts, axis=0))
-            return block_panel, (p if keep else None)
-
-        chunks = self._map_blocks(work)
-        prob_chunks = [] if keep else None
-        for (start, stop), (block_panel, p) in zip(self._blocks, chunks):
-            panel[:, start:stop] = block_panel
-            if keep:
-                prob_chunks.append(p)
-        return panel, prob_chunks
+    def _chunk(self, v: np.ndarray, spread: np.ndarray, start: int, stop: int):
+        """Choice probabilities (3, n_obs, D) of one draw block and ln p of each
+        observation's chosen alternative (n_obs, D); ``v`` carries -inf for the
+        unavailable alternatives."""
+        u = utility_planes(v, spread, self.z_obs[:, :, start:stop])
+        log_chosen = u[self.compiled.chosen, self._rows]
+        m, s = softmax_planes(u)
+        log_chosen -= m
+        log_chosen -= np.log(s)
+        return u, log_chosen
 
     def _simulate(self, params: ParameterVector, keep_probs: bool):
-        """Utilities, sigma, panel matrix, panel probabilities and kept probability chunks.
+        """Padded utilities, sigma, ln P_n, draw weights and kept probability chunks.
 
-        Raises ZeroProbabilityError when an individual's simulated probability is zero.
+        With L_nd = sum_t ln p_chosen over individual n's tasks at draw d,
+        ln P_n = ln mean_d exp(L_nd) is a log-sum-exp over draws and the draw
+        weights w_nd = exp(L_nd) / sum_d exp(L_nd) are formed from
+        L_nd - max_d L_nd, so neither underflows. Raises ZeroProbabilityError
+        when an ln P_n is not finite, as when a utility overflows.
         """
         compiled = self.compiled
         beta, sigma = split_params(compiled, params)
-        v = compiled.design @ beta
-        panel, prob_chunks = self._panel_matrix(v, compiled.spread(sigma), keep_probs)
-        prob = panel.mean(axis=1)
-        if (prob <= 0.0).any():
-            bad = int(np.argmax(prob <= 0.0))
-            raise ZeroProbabilityError(compiled.individual_ids[bad])
-        return v, sigma, panel, prob, prob_chunks
+        v = compiled.design @ beta + self.neg_inf_pad
+        spread = compiled.spread(sigma)
+        keep = keep_probs and self._cache_probs
+
+        def work(start, stop):
+            p, log_chosen = self._chunk(v, spread, start, stop)
+            return np.add.reduceat(log_chosen, compiled.obs_starts, axis=0), (p if keep else None)
+
+        chunks = self._map_blocks(work)
+        log_panel = np.concatenate([c[0] for c in chunks], axis=1)
+        prob_chunks = [c[1] for c in chunks] if keep else None
+        top = log_panel.max(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            scaled = np.exp(log_panel - top)
+        total = scaled.sum(axis=1)
+        log_prob = top[:, 0] + np.log(total / self.n_draws)
+        bad = ~np.isfinite(log_prob)
+        if bad.any():
+            raise ZeroProbabilityError(compiled.individual_ids[int(np.argmax(bad))])
+        return v, sigma, log_prob, scaled / total[:, None], prob_chunks
 
     def _block_probs(self, prob_chunks, v, sigma, start: int, stop: int):
-        """Probabilities of one draw block, from the kept chunks or recomputed."""
+        """Probabilities (3, n_obs, D) of one draw block, kept or recomputed."""
         if prob_chunks is not None:
             return prob_chunks[start // self.draw_block]
-        return self._chunk_probs(v, self.compiled.spread(sigma), start, stop)
+        return self._chunk(v, self.compiled.spread(sigma), start, stop)[0]
 
     def _free_index(self, params: ParameterVector) -> list[int]:
         names = self.compiled.parameter_names
         return [names.index(name) for name in params.free_names]
 
     def loglik(self, params: ParameterVector) -> float:
-        _, _, _, prob, _ = self._simulate(params, keep_probs=False)
-        return float(np.log(prob).sum())
+        _, _, log_prob, _, _ = self._simulate(params, keep_probs=False)
+        return float(log_prob.sum())
 
     def loglik_and_gradient(self, params: ParameterVector):
         """Simulated log-likelihood and its gradient over the free parameters."""
         compiled = self.compiled
-        v, sigma, panel, prob, prob_chunks = self._simulate(params, keep_probs=True)
-        ll = float(np.log(prob).sum())
+        v, sigma, log_prob, w, prob_chunks = self._simulate(params, keep_probs=True)
+        ll = float(log_prob.sum())
 
         # Draw weights w[n, d] sum to one per individual, so the
         # chosen-alternative part of the score collapses to the one-hot
         # matrix and only the probability-weighted parts need the draws.
-        w = panel / panel.sum(axis=1, keepdims=True)
-        n_comp = compiled.n_components
+        n_obs, n_comp = compiled.n_obs, compiled.n_components
+        loadings = compiled.loadings
 
         def work(start, stop):
             p = self._block_probs(prob_chunks, v, sigma, start, stop)
             w_obs = w[compiled.obs_individual, start:stop]
-            pw = p * w_obs[:, :, None]  # (n_obs, D, 3)
-            sum_wp = pw.sum(axis=1)
-            if n_comp:
-                z = self.z_obs[:, start:stop, :]
-                a_z = np.matmul(w_obs[:, None, :], z)[:, 0, :]
-                b_z = np.matmul(pw.transpose(0, 2, 1), z)
-            else:
-                a_z = b_z = None
+            sum_wp = np.empty((n_obs, 3))
+            a_z = np.empty((n_obs, n_comp))
+            b_z = np.zeros((n_obs, 3, n_comp))
+            for j in range(3):
+                sum_wp[:, j] = np.vecdot(p[j], w_obs)
+            for c in range(n_comp):
+                wz = w_obs * self.z_obs[c, :, start:stop]
+                a_z[:, c] = wz.sum(axis=1)
+                for j in np.flatnonzero(loadings[:, c]):
+                    b_z[:, j, c] = np.vecdot(p[j], wz)
             return sum_wp, a_z, b_z
 
-        pieces = self._map_blocks(work)
-        sum_wp = np.zeros((compiled.n_obs, 3))
-        a_z = np.zeros((compiled.n_obs, n_comp))
-        b_z = np.zeros((compiled.n_obs, 3, n_comp))
-        for piece in pieces:
-            sum_wp += piece[0]
-            if n_comp:
-                a_z += piece[1]
-                b_z += piece[2]
+        sum_wp, a_z, b_z = (sum(parts[1:], parts[0]) for parts in zip(*self._map_blocks(work)))
 
         g_obs = self.onehot - sum_wp
         grad_beta = np.einsum("oj,ojp->p", g_obs, compiled.design)
@@ -241,9 +276,9 @@ class EvaluationContext:
         grad_sigma = np.zeros(n_comp)
         if n_comp:
             sign = np.sign(sigma)
-            chosen_load = compiled.loadings[compiled.chosen]
+            chosen_load = loadings[compiled.chosen]
             pos = (a_z * chosen_load).sum(axis=0)
-            neg = np.einsum("ojc,jc->c", b_z, compiled.loadings)
+            neg = np.einsum("ojc,jc->c", b_z, loadings)
             grad_sigma = sign * (pos - neg)
 
         grad = np.concatenate([grad_beta, grad_sigma])
@@ -267,8 +302,7 @@ class EvaluationContext:
         array is ever formed.
         """
         compiled = self.compiled
-        v, sigma, panel, _, prob_chunks = self._simulate(params, keep_probs=True)
-        w = panel / panel.sum(axis=1, keepdims=True)
+        v, sigma, _, w, prob_chunks = self._simulate(params, keep_probs=True)
         sign = np.sign(sigma)
 
         design = compiled.design
@@ -287,7 +321,7 @@ class EvaluationContext:
             positions.append((who, rows))
         diag = np.arange(3)
 
-        def within_task(p, lo, hi):
+        def within_task(p, z, lo, hi):
             """Sums over draws lo..hi, weighted by w, of the within-task moments:
             diag(p) - p p' and p_j e_jc per task, and sum_j p_j e_j e_j' over all
             tasks, with the centred sigma covariate e_jc = z_c (loadings[j, c] -
@@ -297,7 +331,6 @@ class EvaluationContext:
             pw_t = pw.transpose(0, 2, 1)
             omega = -np.matmul(pw_t, p)
             omega[:, diag, diag] += pw.sum(axis=1)
-            z = self.z_obs[:, lo:hi]
             q = p @ loadings
             zq = z * q
             cross = np.matmul(pw_t, z) * loadings - np.matmul(pw_t, zq)
@@ -309,14 +342,14 @@ class EvaluationContext:
                 )
             return omega, cross, sigma_sq, np.add.reduceat(q, starts, axis=0)
 
-        def scores(p, q_sum, lo, hi):
+        def scores(p, z, q_sum, lo, hi):
             """Sums over draws lo..hi of w g g' and, per individual, of w g."""
             score = np.empty((n_ind, hi - lo, n_par))
             score[:, :, :n_beta] = chosen_design[:, None, :]
             for who, rows in positions:
                 score[who, :, :n_beta] -= np.matmul(p[rows], design[rows])
             score[:, :, n_beta:] = (
-                sign * self.z_obs[starts, lo:hi] * (chosen_load[:, None, :] - q_sum)
+                sign * z[starts] * (chosen_load[:, None, :] - q_sum)
             )
             weighted = score * w[:, lo:hi, None]
             return weighted.reshape(-1, n_par).T @ score.reshape(-1, n_par), weighted.sum(axis=1)
@@ -326,9 +359,11 @@ class EvaluationContext:
             sums = None
             for lo in range(start, stop, _HESSIAN_SUB_BLOCK):
                 hi = min(lo + _HESSIAN_SUB_BLOCK, stop)
-                p = p_block[:, lo - start:hi - start]
-                omega, cross, sigma_sq, q_sum = within_task(p, lo, hi)
-                part = (omega, cross, sigma_sq) + scores(p, q_sum, lo, hi)
+                # the moments below read (obs, draw, alternative or component)
+                p = np.ascontiguousarray(p_block[:, :, lo - start:hi - start].transpose(1, 2, 0))
+                z = np.ascontiguousarray(self.z_obs[:, :, lo:hi].transpose(1, 2, 0))
+                omega, cross, sigma_sq, q_sum = within_task(p, z, lo, hi)
+                part = (omega, cross, sigma_sq) + scores(p, z, q_sum, lo, hi)
                 sums = part if sums is None else tuple(a + b for a, b in zip(sums, part))
             return sums
 
@@ -389,9 +424,5 @@ def panel_probability(
     dataset = ChoiceDataset(spec.kind, (individual,))
     compiled = compile_dataset(dataset, spec)
     draws = DrawMatrix(np.ascontiguousarray(individual_draws[None, :, :]), seed=0)
-    context = EvaluationContext(compiled, draws)
-    beta, sigma = split_params(compiled, params)
-    panel, _ = context._panel_matrix(
-        compiled.design @ beta, compiled.spread(sigma), keep_probs=False
-    )
-    return float(panel.mean())
+    _, _, log_prob, _, _ = EvaluationContext(compiled, draws)._simulate(params, keep_probs=False)
+    return float(np.exp(log_prob[0]))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dataset import Individual, compile_individuals, split_params
 from .draws import standard_normal_mlhs
+from .likelihood import softmax_planes, utility_planes
 from .model import (
     ALTERNATIVES,
     Alternative,
@@ -81,17 +82,16 @@ def scenario_probabilities(
     individual = Individual(individual_id=0, persona=scenario.persona, tasks=(scenario.task(),))
     compiled = compile_individuals((individual,), spec)
     beta, sigma = split_params(compiled, params)
-    v = compiled.design[0] @ beta  # the scenario task offers all three alternatives
+    v = compiled.design @ beta  # the scenario task offers all three alternatives
     n_comp = compiled.n_components
     if n_comp == 0:
-        u = v[None, :]
+        z = np.empty((0, 1, 1))
     else:
-        z = standard_normal_mlhs(1, scenario.n_draws, n_comp, scenario.seed).values[0]
-        u = v[None, :] + z @ compiled.spread(sigma).T
-    u -= u.max(axis=1, keepdims=True)
-    np.exp(u, out=u)
-    u /= u.sum(axis=1, keepdims=True)
-    return u.mean(axis=0)
+        draws = standard_normal_mlhs(1, scenario.n_draws, n_comp, scenario.seed).values[0]
+        z = np.ascontiguousarray(draws.T)[:, None, :]  # (component, task, draw)
+    u = utility_planes(v, compiled.spread(sigma), z)
+    softmax_planes(u)
+    return u[:, 0].mean(axis=1)
 
 
 @dataclass(frozen=True)

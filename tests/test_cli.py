@@ -273,6 +273,30 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
 
+    @pytest.mark.parametrize("command, flags, config, key", [
+        ("design", ["--mode", "car", "--distance", 5], {"kind": "bogus"}, "kind"),
+        ("design", ["--mode", "car", "--distance", 5],
+         {"kind": "commute", "travel_time": "long"}, "travel_time"),
+        ("synthesize", [], {"individuals": "many"}, "individuals"),
+        ("synthesize", [], {"out": 7}, "out"),
+        ("estimate", ["--data", "unused.csv"], {"draws": "many"}, "draws"),
+        ("estimate", ["--data", "unused.csv"], {"gradient_tolerance": [1e-5]},
+         "gradient_tolerance"),
+        ("estimate", ["--data", "unused.csv"], {"no_std_errors": "false"}, "no_std_errors"),
+        ("simulate", [], {"draws": "many"}, "draws"),
+        ("simulate", ["--scenarios", "cells.json"], {"kind": "bogus"}, "kind"),
+        ("vot", [], {"time_coeff": "slow", "cost_coeff": -0.5}, "time_coeff"),
+    ])
+    def test_bad_config_value_names_file_and_key(
+        self, command, flags, config, key, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cells.json").write_text(json.dumps({"cells": []}))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run([command, "--config", path] + flags) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {key}: ")
+
     def test_config_file_not_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("{draws: 10}\n")

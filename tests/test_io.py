@@ -79,6 +79,18 @@ DEFECTS = {
     "short row": ({3: lambda fields: fields[:-1]}, 3, "expected 19 fields, got 18"),
     "persona differs": ({5: _set("age_group", "ge60")}, 5, "persona differs"),
     "trip context differs": ({3: _set("distance_km", "2.0")}, 3, "trip context differs"),
+    # found once a task or an individual is assembled: the line of its first row
+    "edited header": ({1: _set("alt", "alternative")}, 1, "unexpected dataset header"),
+    "missing alternative row": (
+        {4: _set("task_id", "x")}, 2, "exactly the three alternatives"),
+    "chosen row unavailable": (
+        {2: lambda fields: _set("available", "0")(_set("chosen", "1")(fields)),
+         3: _set("chosen", "0"), 4: _set("chosen", "0")}, 2, "is not available"),
+    "no chosen row": ({n: _set("chosen", "0") for n in (5, 6, 7)}, 5, "no recorded choice"),
+    "duplicate individual id": (
+        {n: _set("individual_id", "0") for n in range(14, 20)}, 14, "duplicate individual id 0"),
+    "purpose differs from kind": (
+        {n: _set("purpose", "commute") for n in (8, 9, 10)}, 8, "does not match dataset kind"),
 }
 
 
@@ -164,8 +176,8 @@ class TestDatasetFileProperties:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         try:
             mio.load_dataset(path)
-        except ValidationError:
-            pass
+        except ValidationError as exc:
+            assert re.match(f"{re.escape(str(path))}:[0-9]+: ", str(exc)), str(exc)
 
 
 class TestParamsRoundTrip:

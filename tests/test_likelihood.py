@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from modeswitch.dataset import ChoiceDataset, Individual, compile_dataset
 from modeswitch.draws import DrawMatrix, standard_normal_mlhs
 from modeswitch.estimator import numerical_hessian
+from modeswitch import likelihood
 from modeswitch.likelihood import (
     EvaluationContext,
     ZeroProbabilityError,
@@ -265,7 +266,8 @@ class TestSimulatedLoglik:
         np.testing.assert_allclose(whole[1], blocked[1], atol=1e-10)
         np.testing.assert_array_equal(blocked[1], threaded[1])
 
-    def test_zero_probability_reports_individual(self):
+    def test_tiny_chosen_probability_stays_finite(self):
+        # p = exp(-4000) / (exp(-4000) + 2) underflows, but its log does not
         spec = tiny_spec(n_components=0)
         bundles = {SQ: AttributeBundle(travel_cost_eur=4000.0), SEV: AttributeBundle(),
                    SEB: AttributeBundle()}
@@ -276,9 +278,90 @@ class TestSimulatedLoglik:
         )
         params = tiny_params(spec, {"beta_cost": -1.0})
         draws = DrawMatrix(np.zeros((1, 1, 0)), seed=0)
+        assert simulated_loglik(ds, spec, params, draws) == pytest.approx(
+            -4000.0 - math.log(2.0), rel=1e-15
+        )
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("beta_cost, chosen", [(-10.0, SQ), (10.0, SEV)])
+    def test_overflowing_utility_reports_individual(self, beta_cost, chosen):
+        # the status quo's utility overflows to -inf (chosen) or +inf (not chosen)
+        spec = tiny_spec(n_components=0)
+        bundles = {SQ: AttributeBundle(travel_cost_eur=1e308), SEV: AttributeBundle(),
+                   SEB: AttributeBundle()}
+        obs = make_task(attributes=bundles, chosen=chosen)
+        ds = ChoiceDataset(
+            DatasetKind.NONCOMMUTE,
+            (Individual(individual_id=17, persona=persona(), tasks=(obs,)),),
+        )
+        params = tiny_params(spec, {"beta_cost": beta_cost})
+        draws = DrawMatrix(np.zeros((1, 1, 0)), seed=0)
         with pytest.raises(ZeroProbabilityError) as excinfo:
             simulated_loglik(ds, spec, params, draws)
         assert excinfo.value.individual_id == 17
+
+
+def log_domain_loglik(ds, params, z):
+    """Independent oracle: ln mean_d prod_t p_t,chosen,d per individual, with every
+    step in logs (scipy's logsumexp over alternatives and over draws)."""
+    from scipy.special import logsumexp
+
+    per_individual = []
+    for n, ind in enumerate(ds.individuals):
+        log_panel = np.zeros(z.shape[1])
+        for obs in ind.tasks:
+            u = []
+            for alt in (SQ, SEV, SEB):
+                bundle = obs.attributes[alt]
+                v = (params["beta_cost"] * bundle.travel_cost_eur
+                     + params["beta_time"] * bundle.travel_time_min
+                     + {SQ: 0.0, SEV: params["asc_sev"], SEB: params["asc_seb"]}[alt])
+                offset = abs(params["sigma_shared"]) * z[n, :, 0] if alt is not SQ else 0.0
+                if alt is SEV:
+                    offset = offset + abs(params["sigma_sev"]) * z[n, :, 1]
+                u.append(v + offset * np.ones(z.shape[1]))
+            u = np.array(u)
+            log_panel += u[(SQ, SEV, SEB).index(obs.chosen)] - logsumexp(u, axis=0)
+        per_individual.append(logsumexp(log_panel) - math.log(z.shape[1]))
+    return np.array(per_individual)
+
+
+class TestLogDomain:
+    def test_long_panel_at_extreme_parameters_matches_oracle(self):
+        # 27 tasks whose choices the parameters strongly reject: each panel
+        # probability is far below the smallest double, so an average of
+        # exp(sum of ln p) over draws would be exactly zero
+        spec = tiny_spec(n_components=2)
+        ds = tiny_dataset(n_individuals=6, n_tasks=27, spec=spec, seed=8)
+        params = tiny_params(spec, {"asc_sev": -30.0, "asc_seb": 60.0, "beta_cost": 12.0,
+                                    "beta_time": -1.5, "sigma_shared": 6.0, "sigma_sev": -4.0})
+        draws = standard_normal_mlhs(6, 200, 2, 5)
+        context = EvaluationContext(compile_dataset(ds, spec), draws, draw_block=64)
+        ll, grad = context.loglik_and_gradient(params)
+        oracle = log_domain_loglik(ds, params, draws.values)
+        assert oracle.max() < -745.0  # below ln of the smallest subnormal double
+        assert np.isfinite(ll) and np.isfinite(grad).all()
+        assert ll == pytest.approx(oracle.sum(), rel=1e-12)
+        assert context.loglik(params) == ll
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_recomputed_probabilities_are_bit_identical(self, threads, monkeypatch):
+        spec = tiny_spec(n_components=2)
+        params = tiny_params(spec, {"asc_sev": 0.3, "beta_cost": -0.4,
+                                    "sigma_shared": 0.8, "sigma_sev": -0.5})
+        ds = tiny_dataset(n_individuals=20, n_tasks=3, spec=spec)
+        compiled = compile_dataset(ds, spec)
+        draws = standard_normal_mlhs(20, 150, 2, 2)
+        cached = EvaluationContext(compiled, draws, draw_block=40, threads=threads)
+        monkeypatch.setattr(likelihood, "_P_CACHE_BYTES", 0)
+        recomputed = EvaluationContext(compiled, draws, draw_block=40, threads=threads)
+        assert cached._cache_probs and not recomputed._cache_probs
+        ll, grad = cached.loglik_and_gradient(params)
+        ll_again, grad_again = recomputed.loglik_and_gradient(params)
+        assert ll == ll_again
+        np.testing.assert_array_equal(grad, grad_again)
+        np.testing.assert_array_equal(cached.hessian(params), recomputed.hessian(params))
 
 
 class TestGradient:
