@@ -138,12 +138,12 @@ class CompiledData:
         return self.beta_names + self.sigma_names
 
     def spread(self, sigma: np.ndarray) -> np.ndarray:
-        """Error-component spread per (alternative, component): loadings x |sigma|.
+        """Error-component spread per (alternative, component): loadings x sigma.
 
-        The sign of a spread is not identified; every utility takes it by
-        absolute value here.
+        The draws are symmetric, so the sign is not identified; keeping it
+        makes the likelihood smooth at 0. Forward simulation passes |sigma|.
         """
-        return self.loadings * np.abs(sigma)
+        return self.loadings * sigma
 
 
 def compile_dataset(dataset: ChoiceDataset, spec: ModelSpec) -> CompiledData:

@@ -311,6 +311,8 @@ def format_results_text(result: EstimationResult, spec: ModelSpec) -> str:
             else:
                 p = "-"
             lines.append(f"  {name:<28}{value:>10}  {p:>6}")
+    if spec.sigma_names:
+        lines.append("Spread signs are not identified: compare |sigma| across fits")
     fit = result.fit
     lines.append("Model summary")
     lines.append(f"  {'Null log-likelihood':<28}{fit.null_ll:>10.1f}")

@@ -273,13 +273,8 @@ class EvaluationContext:
         g_obs = self.onehot - sum_wp
         grad_beta = np.einsum("oj,ojp->p", g_obs, compiled.design)
 
-        grad_sigma = np.zeros(n_comp)
-        if n_comp:
-            sign = np.sign(sigma)
-            chosen_load = loadings[compiled.chosen]
-            pos = (a_z * chosen_load).sum(axis=0)
-            neg = np.einsum("ojc,jc->c", b_z, loadings)
-            grad_sigma = sign * (pos - neg)
+        chosen_load = loadings[compiled.chosen]
+        grad_sigma = (a_z * chosen_load).sum(axis=0) - np.einsum("ojc,jc->c", b_z, loadings)
 
         grad = np.concatenate([grad_beta, grad_sigma])
         return ll, grad[self._free_index(params)]
@@ -287,7 +282,7 @@ class EvaluationContext:
     def hessian(self, params: ParameterVector) -> np.ndarray:
         """Hessian of the simulated log-likelihood over the free parameters.
 
-        With the draws fixed, utilities are linear in beta and |sigma|, so
+        With the draws fixed, utilities are linear in beta and sigma, so
         for individual n (Train 2009, section 10.2)
 
             d2 ln P_n = sum_d w_nd (H_nd + g_nd g_nd') - gbar_n gbar_n'
@@ -296,14 +291,12 @@ class EvaluationContext:
         - xbar_td) the per-draw score, gbar_n = sum_d w_nd g_nd, and H_nd =
         -sum_t sum_j p_tjd (x_tjd - xbar_td)(x_tjd - xbar_td)' the per-draw
         logit curvature. The covariate of a beta is ``design[t, j]``; that of
-        sigma_c is sign(sigma_c) loadings[j, c] z_ndc. The within-task terms
-        are reduced to per-task moments; the scores are built per task
-        position over sub-blocks of draws, so no (obs, draw, parameter)
-        array is ever formed.
+        sigma_c is loadings[j, c] z_ndc. The within-task terms are reduced to
+        per-task moments; the scores are built per task position over
+        sub-blocks of draws, so no (obs, draw, parameter) array is ever formed.
         """
         compiled = self.compiled
         v, sigma, _, w, prob_chunks = self._simulate(params, keep_probs=True)
-        sign = np.sign(sigma)
 
         design = compiled.design
         loadings = compiled.loadings
@@ -325,7 +318,7 @@ class EvaluationContext:
             """Sums over draws lo..hi, weighted by w, of the within-task moments:
             diag(p) - p p' and p_j e_jc per task, and sum_j p_j e_j e_j' over all
             tasks, with the centred sigma covariate e_jc = z_c (loadings[j, c] -
-            q_c), q = p @ loadings; sign(sigma) is applied by the caller."""
+            q_c), q = p @ loadings."""
             w_obs = w[compiled.obs_individual, lo:hi]
             pw = p * w_obs[:, :, None]
             pw_t = pw.transpose(0, 2, 1)
@@ -348,9 +341,7 @@ class EvaluationContext:
             score[:, :, :n_beta] = chosen_design[:, None, :]
             for who, rows in positions:
                 score[who, :, :n_beta] -= np.matmul(p[rows], design[rows])
-            score[:, :, n_beta:] = (
-                sign * z[starts] * (chosen_load[:, None, :] - q_sum)
-            )
+            score[:, :, n_beta:] = z[starts] * (chosen_load[:, None, :] - q_sum)
             weighted = score * w[:, lo:hi, None]
             return weighted.reshape(-1, n_par).T @ score.reshape(-1, n_par), weighted.sum(axis=1)
 
@@ -372,9 +363,9 @@ class EvaluationContext:
 
         within = np.empty((n_par, n_par))
         within[:n_beta, :n_beta] = np.tensordot(design, omega @ design, axes=([0, 1], [0, 1]))
-        within[:n_beta, n_beta:] = np.tensordot(design, cross, axes=([0, 1], [0, 1])) * sign
+        within[:n_beta, n_beta:] = np.tensordot(design, cross, axes=([0, 1], [0, 1]))
         within[n_beta:, :n_beta] = within[:n_beta, n_beta:].T
-        within[n_beta:, n_beta:] = sigma_sq * np.outer(sign, sign)
+        within[n_beta:, n_beta:] = sigma_sq
         hess = outer - g_bar.T @ g_bar - within
         hess = (hess + hess.T) / 2.0
         free = self._free_index(params)

@@ -297,8 +297,8 @@ class UtilityTerm:
 class ErrorComponent:
     """A zero-mean normal term shared by the listed alternatives.
 
-    The named parameter holds its standard deviation and is consumed by
-    absolute value: the sign is not identified.
+    The named parameter holds its standard deviation, whose sign is not
+    identified: estimation may return either sign, simulation uses |sigma|.
     """
 
     name: str

@@ -223,8 +223,8 @@ _COMMUTE_ESTIMATES = {
     "seb_age_le35": 0.99,
     "seb_age_ge60": -3.32,
     "seb_income_high": -1.49,
-    # the sign of a standard deviation is not identified; it enters by
-    # absolute value everywhere
+    # the sign of a standard deviation is not identified; simulation takes
+    # it by absolute value
     "sigma_shared": 2.28,
     "sigma_sev": -1.11,
     "sigma_seb": 0.85,
@@ -278,14 +278,18 @@ def bundled_p_values(kind: DatasetKind | str) -> dict[str, float]:
     return {name: table[name] for name in spec.coefficient_names}
 
 
-def starting_values(spec: ModelSpec, sigma_start: float = 0.1) -> ParameterVector:
-    """Default optimizer start: zero coefficients, slightly positive sigmas.
+_SIGMA_START = 0.1
 
-    A zero sigma start sits on a flat ridge of the simulated likelihood, so
-    the mixing parameters begin slightly away from it.
+
+def starting_values(spec: ModelSpec) -> ParameterVector:
+    """Default optimizer start: zero coefficients, sigmas at ``_SIGMA_START``.
+
+    sigma = 0 is a near-stationary point of the simulated likelihood: there
+    a spread's gradient is proportional to each person's mean draw, so the
+    mixing parameters begin slightly away from it.
     """
     values = {name: 0.0 for name in spec.beta_names}
-    values.update({name: sigma_start for name in spec.sigma_names})
+    values.update({name: _SIGMA_START for name in spec.sigma_names})
     return ParameterVector(values)
 
 

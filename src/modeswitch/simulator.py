@@ -89,7 +89,7 @@ def scenario_probabilities(
     else:
         draws = standard_normal_mlhs(1, scenario.n_draws, n_comp, scenario.seed).values[0]
         z = np.ascontiguousarray(draws.T)[:, None, :]  # (component, task, draw)
-    u = utility_planes(v, compiled.spread(sigma), z)
+    u = utility_planes(v, compiled.spread(np.abs(sigma)), z)
     softmax_planes(u)
     return u[:, 0].mean(axis=1)
 

@@ -181,7 +181,7 @@ def simulate_choices(
     compiled = compile_individuals(unanswered, spec)
     beta, sigma = split_params(compiled, true_params)
     v = np.where(compiled.avail, compiled.design @ beta, -np.inf)
-    spread = compiled.spread(sigma)
+    spread = compiled.spread(np.abs(sigma))
     individuals = []
     for i, ind in enumerate(unanswered):
         rng = _substream(seed, i)

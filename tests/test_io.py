@@ -218,6 +218,7 @@ class TestReports:
         assert "Null log-likelihood" in text
         assert "Pseudo rho-square" in text
         assert "Convergence: converged" in text
+        assert "Spread signs are not identified: compare |sigma| across fits" in text.splitlines()
 
     def test_standard_error_line_only_when_missing(self, small_result):
         spec, result = small_result

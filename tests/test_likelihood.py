@@ -317,9 +317,9 @@ def log_domain_loglik(ds, params, z):
                 v = (params["beta_cost"] * bundle.travel_cost_eur
                      + params["beta_time"] * bundle.travel_time_min
                      + {SQ: 0.0, SEV: params["asc_sev"], SEB: params["asc_seb"]}[alt])
-                offset = abs(params["sigma_shared"]) * z[n, :, 0] if alt is not SQ else 0.0
+                offset = params["sigma_shared"] * z[n, :, 0] if alt is not SQ else 0.0
                 if alt is SEV:
-                    offset = offset + abs(params["sigma_sev"]) * z[n, :, 1]
+                    offset = offset + params["sigma_sev"] * z[n, :, 1]
                 u.append(v + offset * np.ones(z.shape[1]))
             u = np.array(u)
             log_panel += u[(SQ, SEV, SEB).index(obs.chosen)] - logsumexp(u, axis=0)
@@ -367,26 +367,28 @@ class TestLogDomain:
 class TestGradient:
     def test_matches_finite_differences(self):
         spec = tiny_spec(n_components=2)
-        params = tiny_params(
-            spec, {"asc_sev": 0.25, "asc_seb": -0.15, "beta_cost": -0.35, "beta_time": -0.04,
-                   "sigma_shared": 0.7, "sigma_sev": 0.4}
-        )
         ds = tiny_dataset(n_individuals=25, n_tasks=3, spec=spec)
         compiled = compile_dataset(ds, spec)
         draws = standard_normal_mlhs(25, 128, 2, 3)
         context = EvaluationContext(compiled, draws)
-        _, grad = context.loglik_and_gradient(params)
-        x = params.free_array()
-        for i, name in enumerate(params.free_names):
-            h = 1e-5 * max(1.0, abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            fd = (
-                context.loglik(params.with_free_array(xp))
-                - context.loglik(params.with_free_array(xm))
-            ) / (2 * h)
-            assert grad[i] == pytest.approx(fd, rel=1e-4), name
+        # signed spreads, including sigma = 0 where the likelihood is smooth too
+        for spreads in [(0.7, 0.4), (0.0, -0.3)]:
+            params = tiny_params(
+                spec, {"asc_sev": 0.25, "asc_seb": -0.15, "beta_cost": -0.35,
+                       "beta_time": -0.04, **dict(zip(spec.sigma_names, spreads))}
+            )
+            _, grad = context.loglik_and_gradient(params)
+            x = params.free_array()
+            for i, name in enumerate(params.free_names):
+                h = 1e-5 * max(1.0, abs(x[i]))
+                xp, xm = x.copy(), x.copy()
+                xp[i] += h
+                xm[i] -= h
+                fd = (
+                    context.loglik(params.with_free_array(xp))
+                    - context.loglik(params.with_free_array(xm))
+                ) / (2 * h)
+                assert grad[i] == pytest.approx(fd, rel=1e-4), (spreads, name)
 
     def test_fixed_parameters_have_no_entry(self):
         spec = tiny_spec(n_components=1)
@@ -426,25 +428,26 @@ class TestHessian:
     def test_matches_finite_differences_on_tiny_spec(self, n_components, fixed):
         spec = tiny_spec(n_components=n_components)
         fixed = tuple(name for name in fixed if name in spec.coefficient_names)
-        # negative spreads: the likelihood uses |sigma|, the Hessian its sign
-        params = tiny_params(
-            spec,
-            {"asc_sev": 0.25, "asc_seb": -0.15, "beta_cost": -0.35, "beta_time": -0.04,
-             **{name: -0.7 + 0.4 * c for c, name in enumerate(spec.sigma_names)}},
-            fixed=fixed,
-        )
         ds = tiny_dataset(n_individuals=25, n_tasks=3, spec=spec, seed=4)
         if n_components:
             draws = standard_normal_mlhs(25, 130, n_components, 3)
         else:
             draws = DrawMatrix(np.zeros((25, 1, 0)), seed=0)
         context = EvaluationContext(compile_dataset(ds, spec), draws, draw_block=64)
-        hessian = context.hessian(params)
-        assert hessian.shape == (len(params.free_names),) * 2
-        np.testing.assert_allclose(
-            hessian, finite_difference_hessian(context, params),
-            rtol=1e-4, atol=1e-4 * np.abs(hessian).max(),
-        )
+        # signed spreads, including sigma = 0 where the likelihood is smooth too
+        for spreads in [(-0.7, -0.3), (0.0, -0.3)]:
+            params = tiny_params(
+                spec,
+                {"asc_sev": 0.25, "asc_seb": -0.15, "beta_cost": -0.35, "beta_time": -0.04,
+                 **dict(zip(spec.sigma_names, spreads))},
+                fixed=fixed,
+            )
+            hessian = context.hessian(params)
+            assert hessian.shape == (len(params.free_names),) * 2
+            np.testing.assert_allclose(
+                hessian, finite_difference_hessian(context, params),
+                rtol=1e-4, atol=1e-4 * np.abs(hessian).max(), err_msg=str(spreads),
+            )
 
     def test_matches_finite_differences_on_bundled_spec(
         self, noncommute_spec, noncommute_estimates

@@ -145,11 +145,28 @@ class TestRandomOffset:
         assert value == pytest.approx(1.64 + 1.28, abs=1e-12)
         assert value == pytest.approx(2.92, abs=1e-9)
 
-    def test_negative_sigma_taken_absolute(self, commute_spec, commute_estimates):
+    def test_negative_sigma_gives_signed_spread(self, commute_spec, commute_estimates):
+        # the compiled spread keeps the sign, so the likelihood is smooth through 0
         assert commute_estimates["sigma_sev"] == -1.11
         commute_task = make_task(purpose=Purpose.COMMUTE)
         value = offsets([0.0, 1.0, 0.0], commute_estimates, commute_spec, commute_task)[J_SEV]
-        assert value == pytest.approx(1.11)
+        assert value == -1.11
+
+    def test_negative_sigma_taken_absolute(self, commute_spec, commute_estimates):
+        # forward simulation keeps the |sigma| convention of the bundled estimates
+        from modeswitch import presets
+        from modeswitch.simulator import scenario_probabilities
+        from modeswitch.synthesizer import synthesize_dataset
+
+        flipped = commute_estimates.with_values({"sigma_sev": 1.11})
+        scenario = presets.base_scenario(CurrentMode.CAR, 5.0, DatasetKind.COMMUTE, n_draws=2000)
+        np.testing.assert_array_equal(
+            scenario_probabilities(scenario, commute_estimates, commute_spec),
+            scenario_probabilities(scenario, flipped, commute_spec),
+        )
+        assert synthesize_dataset(DatasetKind.COMMUTE, 30, 4, commute_estimates) == (
+            synthesize_dataset(DatasetKind.COMMUTE, 30, 4, flipped)
+        )
 
     def test_status_quo_never_receives_offset(self, noncommute_spec, noncommute_estimates):
         assert offsets([3.0, -2.0, 1.0], noncommute_estimates, noncommute_spec)[J_SQ] == 0.0
@@ -209,7 +226,7 @@ class TestInvariants:
         draws = [1.0, -0.5, 0.2]
         offset = offsets(draws, noncommute_estimates, noncommute_spec)[J_SEV]
         assert offsets(draws, scaled, noncommute_spec)[J_SEV] == pytest.approx(
-            abs(factor) * offset, abs=1e-9
+            factor * offset, abs=1e-9
         )
 
     def test_every_table_row_resolves_once(self, noncommute_spec, noncommute_estimates):
